@@ -6,10 +6,14 @@ which makes the per-cell ODE system
     d/dt [u, w] = [-r_w, +r_w]
 
 discontinuous across w = 0 for undersaturated solute. The integrator
-performs a tentative explicit step, locates the crossing time on the
-scheme's dense output when the tentative precipitate goes negative, and
-restarts on the sliding branch (zero rate while r(u) < 1), so the
-returned precipitate is never negative and u + w is conserved exactly.
+performs a tentative explicit step and clips a tentative precipitate
+below zero to w = 0, where the sliding branch (zero rate while
+r(u) < 1) holds it for the rest of the step. For explicit Euler this is
+exact: it equals locating the crossing on the linear dense output and
+sliding from there, because the sliding rate is zero. For Heun a
+crossing in the first stage pins w = 0 for the rest of the step, and a
+crossing of the averaged step is clipped the same way. The returned
+precipitate is never negative and u + w is conserved exactly.
 
 All state arguments may be scalars or congruent numpy arrays; the
 mapping over cells is embarrassingly parallel.

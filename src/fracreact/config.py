@@ -40,7 +40,7 @@ from .constitutive import PhysParams
 from .discretize import build_topology
 from .errors import ConfigurationError
 from .mesh import build_interval_mesh, build_structured_2d
-from .physics import DIRICHLET, FLUX, OUTFLOW, PRESSURE, SegmentBC
+from .physics import FLOW_KINDS, TRANSPORT_KINDS, SegmentBC
 from .scenarios import (Scenario, dof_centroids, make_eta, make_state,
                         _region_mask)
 from .splitting import Problem, TimeGrid
@@ -55,9 +55,6 @@ _INITIAL_KEYS = {"p", "theta", "u", "w", "fracture_aperture",
 _TIME_KEYS = {"t_end", "num_steps"}
 _OUTPUT_KEYS = {"name", "every", "unitless"}
 _BC_KEYS = {"flow", "heat", "solute"}
-
-_FLOW_KINDS = {PRESSURE, FLUX}
-_TRANSPORT_KINDS = {DIRICHLET, OUTFLOW, FLUX}
 
 
 class _Source:
@@ -224,7 +221,7 @@ def parse_config(path) -> Scenario:
         _check_keys(src, cp, section, _BC_KEYS)
         entries = {}
         for key, raw in cp[section].items():
-            kinds = _FLOW_KINDS if key == "flow" else _TRANSPORT_KINDS
+            kinds = FLOW_KINDS if key == "flow" else TRANSPORT_KINDS
             entries[key] = _parse_bc_entry(src, section, key, raw, kinds)
         bc[tag] = SegmentBC(**entries)
     present_tags = set(bc)
@@ -278,7 +275,6 @@ def parse_config(path) -> Scenario:
         if key in init:
             lo, hi, value = _parse_region(src, "initial", key, init[key], dim)
             target[_region_mask(coords, lo, hi)] = value
-    state.w_prev[:] = state.w
 
     # --- output -------------------------------------------------------------
     name = os.path.splitext(os.path.basename(path))[0]

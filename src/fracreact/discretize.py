@@ -24,6 +24,7 @@ outward on boundary faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,10 +36,6 @@ BULK = 0
 FRAC = 1
 COUPLING = 2
 INTERSECT = 3
-
-# boundary kinds
-B_BULK = 0
-B_FRAC_TIP = 1
 
 
 @dataclass(frozen=True)
@@ -54,9 +51,6 @@ class DofLayout:
     is_inter: np.ndarray
     measure: np.ndarray        # cell volume / fracture cell length / 1.0
     frac_of_dof: np.ndarray    # fracture id per dof, -1 elsewhere
-
-    def frac_dofs(self, fid: int) -> np.ndarray:
-        return np.nonzero(self.frac_of_dof == fid)[0]
 
 
 def build_layout(mesh: MixedDimMesh) -> DofLayout:
@@ -104,20 +98,23 @@ class Topology:
     b_area: np.ndarray
     b_dist: np.ndarray
     b_tag: tuple[str, ...]
-    b_kind: np.ndarray
-    b_face_id: np.ndarray
-    b_normal_sign: np.ndarray   # +1 (normals are stored outward)
+    b_face_id: np.ndarray    # bulk face of boundary faces, -1 at fracture tips
 
     @property
     def n_conn(self) -> int:
         return len(self.ci)
+
+    @cached_property
+    def b_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct boundary tags and each face's index into them."""
+        return np.unique(np.asarray(self.b_tag, dtype=str), return_inverse=True)
 
 
 def build_topology(mesh: MixedDimMesh, layout: DofLayout | None = None) -> Topology:
     if layout is None:
         layout = build_layout(mesh)
     ci, cj, kind, area, di, dj, low, face_id = [], [], [], [], [], [], [], []
-    b_dof, b_area, b_dist, b_tag, b_kind, b_face = [], [], [], [], [], []
+    b_dof, b_area, b_dist, b_tag, b_face = [], [], [], [], []
 
     def normal_dist(cell, f):
         v = mesh.face_centroids[f] - mesh.cell_centroids[cell]
@@ -145,8 +142,7 @@ def build_topology(mesh: MixedDimMesh, layout: DofLayout | None = None) -> Topol
         else:
             b_dof.append(int(c0)); b_area.append(mesh.face_areas[f])
             b_dist.append(normal_dist(int(c0), f))
-            b_tag.append(mesh.boundary_tags[f]); b_kind.append(B_BULK)
-            b_face.append(f)
+            b_tag.append(mesh.boundary_tags[f]); b_face.append(f)
 
     for fid, frac in enumerate(mesh.fractures):
         off = layout.frac_offsets[fid]
@@ -167,8 +163,7 @@ def build_topology(mesh: MixedDimMesh, layout: DofLayout | None = None) -> Topol
             elif tip.kind == "boundary":
                 b_dof.append(tdof); b_area.append(1.0)
                 b_dist.append(frac.measures[tip.cell] / 2.0)
-                b_tag.append(tip.tag); b_kind.append(B_FRAC_TIP)
-                b_face.append(-1)
+                b_tag.append(tip.tag); b_face.append(-1)
             # immersed tips impose no flow: no connection at all
 
     return Topology(
@@ -179,9 +174,7 @@ def build_topology(mesh: MixedDimMesh, layout: DofLayout | None = None) -> Topol
         low_dof=np.asarray(low, dtype=int), face_id=np.asarray(face_id, dtype=int),
         b_dof=np.asarray(b_dof, dtype=int), b_area=np.asarray(b_area, dtype=float),
         b_dist=np.asarray(b_dist, dtype=float), b_tag=tuple(b_tag),
-        b_kind=np.asarray(b_kind, dtype=int),
-        b_face_id=np.asarray(b_face, dtype=int),
-        b_normal_sign=np.ones(len(b_dof)))
+        b_face_id=np.asarray(b_face, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -223,75 +216,8 @@ def boundary_transmissibilities(top: Topology, cell_coef):
         return np.where(np.isinf(r), 0.0, top.b_area / np.where(r > 0, r, np.inf))
 
 
-def tpfa_bulk(mesh: MixedDimMesh, cell_coeff):
-    """Plain bulk TPFA per face: harmonic interior transmissibility and
-    half-cell value on boundary faces. Fracture-coupled faces are
-    excluded (their transmissibilities live on the coupling connections).
-    """
-    coef = np.asarray(cell_coeff, dtype=float)
-    if np.any(coef < 0):
-        raise ValueError("cell coefficients must be non-negative")
-    t = np.zeros(mesh.num_faces)
-    for f in range(mesh.num_faces):
-        if f in mesh.frac_faces:
-            continue
-        c0, c1 = mesh.face_cells[f]
-        d0 = mesh.face_centroids[f] - mesh.cell_centroids[c0]
-        d0 = abs(float(np.dot(d0, mesh.face_normals[f])))
-        if d0 <= 0:
-            raise MeshConformityError(f"zero centroid-to-face distance at face {f}")
-        r = _safe_resistance(d0, coef[c0])
-        if c1 >= 0:
-            d1 = mesh.face_centroids[f] - mesh.cell_centroids[c1]
-            d1 = abs(float(np.dot(d1, mesh.face_normals[f])))
-            if d1 <= 0:
-                raise MeshConformityError(f"zero centroid-to-face distance at face {f}")
-            r = r + _safe_resistance(d1, coef[c1])
-        t[f] = 0.0 if np.isinf(r) else mesh.face_areas[f] / r if r > 0 else 0.0
-    return t
-
-
-def coupling_transmissibility(eps, kappa_n, mu_or_unity, matrix_half_t, area=1.0):
-    """Series composition of the interface law kappa(eps)/(mu*eps) per
-    unit area with the matrix half-transmissibility.
-
-    The trace pressure on the fracture wall is approximated by the
-    adjacent cell-centre value, hence the harmonic composition.
-    """
-    eps = float(eps)
-    if eps < 0:
-        raise ValueError("aperture must be non-negative")
-    if kappa_n <= 0 or eps == 0:
-        return 0.0
-    interface = kappa_n * area / (mu_or_unity * eps)
-    if matrix_half_t <= 0:
-        return 0.0
-    return 1.0 / (1.0 / interface + 1.0 / matrix_half_t)
-
-
 # ---------------------------------------------------------------------------
-# upwinding and divergence
-
-
-def upwind_face_values(top: Topology, conn_flux, cell_values,
-                       boundary_values=None, boundary_flux=None):
-    """Upstream cell value per connection (and per boundary face).
-
-    On connections the sign of the flux picks the upstream side; zero
-    flux takes the ``ci`` side (the contribution vanishes anyway). On
-    boundary faces an inflow (negative outward flux) carries the
-    boundary datum, an outflow the cell value.
-    """
-    x = np.asarray(cell_values, dtype=float)
-    flux = np.asarray(conn_flux, dtype=float)
-    up = np.where(flux >= 0, x[top.ci], x[top.cj])
-    if boundary_flux is None:
-        return up
-    bflux = np.asarray(boundary_flux, dtype=float)
-    bval = np.zeros(len(top.b_dof)) if boundary_values is None \
-        else np.asarray(boundary_values, dtype=float)
-    bup = np.where(bflux >= 0, x[top.b_dof], bval)
-    return up, bup
+# divergence
 
 
 def assemble_mixed_divergence(top: Topology, conn_flux, boundary_flux=None):
@@ -308,9 +234,3 @@ def assemble_mixed_divergence(top: Topology, conn_flux, boundary_flux=None):
         np.add.at(div, top.b_dof, np.asarray(boundary_flux, dtype=float))
     return div
 
-
-def boundary_faces_by_tag(top: Topology) -> dict[str, np.ndarray]:
-    out: dict[str, list[int]] = {}
-    for i, tag in enumerate(top.b_tag):
-        out.setdefault(tag, []).append(i)
-    return {tag: np.asarray(ix, dtype=int) for tag, ix in out.items()}

@@ -23,30 +23,10 @@ class SparseSystem:
     matrix: sps.csr_matrix
     rhs: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def assemble(triplets, n: int, rhs=None) -> SparseSystem:
-    """Build a CSR system from (row, col, value) triplets; duplicate
-    entries are summed."""
-    if triplets:
-        rows, cols, vals = map(np.asarray, zip(*triplets))
-    else:
-        rows = cols = np.empty(0, dtype=int)
-        vals = np.empty(0)
-    if len(rows) and (rows.min() < 0 or rows.max() >= n
-                      or cols.min() < 0 or cols.max() >= n):
-        raise IndexError(f"triplet index out of range for dimension {n}")
-    mat = sps.coo_matrix((vals.astype(float), (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    b = np.zeros(n) if rhs is None else np.asarray(rhs, dtype=float)
-    return SparseSystem(matrix=mat, rhs=b)
-
 
 def assemble_arrays(rows, cols, vals, n: int, rhs=None) -> SparseSystem:
-    """Vectorised variant of :func:`assemble`."""
+    """Build a CSR system from row, column and value arrays; duplicate
+    entries are summed."""
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
     if len(rows) and (rows.min() < 0 or rows.max() >= n

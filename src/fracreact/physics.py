@@ -1,9 +1,16 @@
 """Implicit sub-solvers for the splitting scheme.
 
-Each step assembles one monolithic linear system over all subdomains
-(bulk, fractures, intersections) and solves it with the direct sparse
-path. Flow uses TPFA with the aperture-dependent coupling law; heat and
-solute share a generic implicit Euler upwind/TPFA transport solve.
+Flow, heat and solute share one assemble-and-solve path: one sparse
+system over all subdomains (bulk, fractures, intersections) of
+
+    diag*x + scale*(TPFA diffusion + upwind advection) = rhs,
+
+closed on the boundary faces by per-face masks and solved with the
+direct sparse path. Darcy flow uses it with scale 1 and neither
+accumulation nor advection; heat, solute and the monolithic splitting
+reference use it through the implicit Euler step ``transport_step``
+with scale dt. It returns the outward boundary fluxes consistent with
+the solve, which the mass audit uses.
 
 Boundary conventions follow the flow problem: segments with an essential
 pressure condition also carry the essential temperature/solute data on
@@ -27,6 +34,10 @@ DIRICHLET = "dirichlet"
 OUTFLOW = "outflow"
 FLUX = "flux"
 PRESSURE = "pressure"
+
+# boundary kinds each equation accepts
+FLOW_KINDS = (PRESSURE, FLUX)
+TRANSPORT_KINDS = (DIRICHLET, OUTFLOW, FLUX)
 
 
 @dataclass(frozen=True)
@@ -59,17 +70,14 @@ class FieldState:
     u: np.ndarray
     w: np.ndarray
     pore: np.ndarray
-    w_prev: np.ndarray
     react_prev: np.ndarray | None = None   # last reaction increment of w
-    conn_flux: np.ndarray | None = None
-    bnd_flux: np.ndarray | None = None
+    bnd_flux: np.ndarray | None = None     # last outward Darcy boundary flux
 
     def copy(self) -> "FieldState":
         return FieldState(
             p=self.p.copy(), theta=self.theta.copy(), u=self.u.copy(),
-            w=self.w.copy(), pore=self.pore.copy(), w_prev=self.w_prev.copy(),
+            w=self.w.copy(), pore=self.pore.copy(),
             react_prev=None if self.react_prev is None else self.react_prev.copy(),
-            conn_flux=None if self.conn_flux is None else self.conn_flux.copy(),
             bnd_flux=None if self.bnd_flux is None else self.bnd_flux.copy())
 
 
@@ -78,16 +86,87 @@ def value_at(v, t: float) -> float:
 
 
 def _resolve_bc(top: Topology, bc: BoundarySpec, equation: str, t: float):
-    """Per-boundary-face (kind, value) arrays for one equation."""
-    kinds = []
-    values = np.empty(len(top.b_dof))
-    for i, tag in enumerate(top.b_tag):
+    """Per-boundary-face (kind, value) arrays for one equation; each
+    segment is looked up once."""
+    accepted = FLOW_KINDS if equation == "flow" else TRANSPORT_KINDS
+    tags, face_tag = top.b_segments
+    kinds, values = [], []
+    for tag in tags.tolist():
         if tag not in bc:
             raise WellPosednessError(f"no boundary condition for segment {tag!r}")
         kind, val = getattr(bc[tag], equation)
+        if kind not in accepted:
+            raise WellPosednessError(
+                f"unknown {equation} boundary kind {kind!r} on segment {tag!r}")
         kinds.append(kind)
-        values[i] = value_at(val, t)
-    return kinds, values
+        values.append(value_at(val, t))
+    return (np.array(kinds, dtype=str)[face_tag],
+            np.array(values, dtype=float)[face_tag])
+
+
+def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,
+                diag=None, flux=None, bnd_flux=None):
+    """Assemble and solve
+
+        diag*x + scale*(TPFA diffusion + upwind advection) = rhs
+
+    with the boundary closures of ``kinds``: essential (``pressure`` or
+    ``dirichlet``; the datum also feeds advective inflow), ``outflow``
+    (advective upwind only) and ``flux`` (outward total flux datum).
+    ``flux`` and ``bnd_flux`` are the advective connection and boundary
+    fluxes; without them the operator is pure diffusion. ``rhs`` is
+    updated in place with the boundary data. Returns (x, outward
+    boundary fluxes consistent with the solve).
+
+    Entries are listed diagonal, diffusion, advection, then face by face
+    (essential before advective outflow), and boundary data is added
+    face by face: duplicates are summed in this order, which keeps the
+    result reproducible to the bit.
+    """
+    ci, cj, bd = top.ci, top.cj, top.b_dof
+    kinds, g = np.asarray(kinds), np.asarray(values, dtype=float)
+    ess = (kinds == PRESSURE) | (kinds == DIRICHLET)
+    out = kinds == OUTFLOW
+    st = scale * t_conn
+    rows, cols, vals = [ci, ci, cj, cj], [ci, cj, cj, ci], [st, -st, st, -st]
+    if diag is not None:
+        idx = np.arange(top.layout.ndof)
+        rows, cols, vals = [idx] + rows, [idx] + cols, [diag] + vals
+    if flux is None:
+        fb = np.zeros(len(bd))
+        adv_out = adv_in = np.zeros(len(bd), dtype=bool)
+    else:
+        fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
+        rows += [ci, ci, cj, cj]
+        cols += [ci, cj, cj, ci]
+        vals += [scale * fp, scale * fm, -scale * fm, -scale * fp]
+        fb = bnd_flux
+        leaving, upwind = fb >= 0, ess | out
+        adv_out, adv_in = upwind & leaving, upwind & ~leaving
+
+    # one (essential, advective) pair of slots per face; boolean masks
+    # select from the transposed pairs face by face
+    bd2 = np.array([bd, bd]).T
+    sel = np.array([ess, adv_out]).T
+    st_b, sfb = scale * t_bnd, scale * fb
+    rows.append(bd2[sel])
+    cols.append(rows[-1])
+    vals.append(np.array([st_b, sfb]).T[sel])
+    sel = np.array([ess | (kinds == FLUX), adv_in]).T
+    term = np.array([np.where(ess, st_b * g, (-scale * g) * top.b_area),
+                     -sfb * g]).T
+    np.add.at(rhs, bd2[sel], term[sel])
+
+    system = assemble_arrays(np.concatenate(rows), np.concatenate(cols),
+                             np.concatenate(vals), top.layout.ndof, rhs)
+    x = solve(system, tol=1e-10)
+
+    xb = x[bd]
+    bnd_total = np.where(ess, t_bnd * (xb - g), g * top.b_area)
+    if flux is not None:
+        adv = fb * np.where(leaving, xb, g)
+        bnd_total = np.where(ess, bnd_total + adv, np.where(out, adv, bnd_total))
+    return x, bnd_total
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +185,12 @@ def flow_coefficients(top: Topology, pore_star, params: PhysParams):
         eps_f, params.kgamma0, params.epsgamma0) / params.mu
 
     resist = np.zeros(top.n_conn)
-    cpl = top.kind == COUPLING
-    if np.any(cpl):
-        eps = pore_star[top.low_dof[cpl]]
-        kappa = cl.cubic_law(eps, params.kappagamma0, params.epsgamma0)
-        resist[cpl] = _interface_resistance(eps, kappa, params.mu)
-    isc = top.kind == INTERSECT
-    if np.any(isc):
-        eps = pore_star[top.low_dof[isc]]
-        kappa = cl.cubic_law(eps, params.kappaiota0, params.epsiota0)
-        resist[isc] = _interface_resistance(eps, kappa, params.mu)
+    for kind, kappa0, eps0 in ((COUPLING, params.kappagamma0, params.epsgamma0),
+                               (INTERSECT, params.kappaiota0, params.epsiota0)):
+        m = top.kind == kind
+        eps = pore_star[top.low_dof[m]]
+        resist[m] = _interface_resistance(eps, cl.cubic_law(eps, kappa0, eps0),
+                                          params.mu)
     return coef, resist
 
 
@@ -142,10 +217,9 @@ def darcy_step(top: Topology, pore_star, pore_n, params: PhysParams,
     lay = top.layout
     coef, resist = flow_coefficients(top, pore_star, params)
     t_conn = transmissibilities(top, coef, resist)
-    t_bnd = boundary_transmissibilities(top, coef)
 
     kinds, values = _resolve_bc(top, bc, "flow", t)
-    if not any(k == PRESSURE for k in kinds):
+    if not np.any(kinds == PRESSURE):
         raise WellPosednessError(
             "flow problem needs at least one essential pressure segment")
 
@@ -153,33 +227,9 @@ def darcy_step(top: Topology, pore_star, pore_n, params: PhysParams,
     if source is not None:
         rhs = rhs + np.asarray(source, dtype=float)
 
-    rows = [top.ci, top.ci, top.cj, top.cj]
-    cols = [top.ci, top.cj, top.cj, top.ci]
-    vals = [t_conn, -t_conn, t_conn, -t_conn]
-    for i, kind in enumerate(kinds):
-        d = top.b_dof[i]
-        if kind == PRESSURE:
-            rows.append([d]); cols.append([d]); vals.append([t_bnd[i]])
-            rhs[d] += t_bnd[i] * values[i]
-        elif kind == FLUX:
-            rhs[d] -= values[i] * top.b_area[i]
-        else:
-            raise WellPosednessError(f"unknown flow boundary kind {kind!r}")
-
-    system = assemble_arrays(np.concatenate([np.atleast_1d(r) for r in rows]),
-                             np.concatenate([np.atleast_1d(c) for c in cols]),
-                             np.concatenate([np.atleast_1d(v) for v in vals]),
-                             lay.ndof, rhs)
-    p = solve(system, tol=1e-10)
-
-    conn_flux = t_conn * (p[top.ci] - p[top.cj])
-    bnd_flux = np.empty(len(top.b_dof))
-    for i, kind in enumerate(kinds):
-        if kind == PRESSURE:
-            bnd_flux[i] = t_bnd[i] * (p[top.b_dof[i]] - values[i])
-        else:
-            bnd_flux[i] = values[i] * top.b_area[i]
-    return p, conn_flux, bnd_flux
+    p, bnd_flux = _tpfa_solve(top, t_conn, boundary_transmissibilities(top, coef),
+                              kinds, values, rhs, 1.0)
+    return p, t_conn * (p[top.ci] - p[top.cj]), bnd_flux
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +238,7 @@ def darcy_step(top: Topology, pore_star, pore_n, params: PhysParams,
 
 def transport_step(top: Topology, coef, resist, acc_new, acc_old, x_old,
                    conn_flux, bnd_flux, adv_scale, kinds, values, dt,
-                   source=None, reaction_diag=None, reaction_rhs=None):
+                   source=None):
     """One implicit Euler step of
 
         acc_new*x - acc_old*x_old + dt*(div of advective+diffusive flux)
@@ -199,73 +249,15 @@ def transport_step(top: Topology, coef, resist, acc_new, acc_old, x_old,
     outward advective+diffusive fluxes consistent with the solve, for
     mass audits.
     """
-    lay = top.layout
-    t_conn = transmissibilities(top, coef, resist)
-    t_bnd = boundary_transmissibilities(top, coef)
-    f = adv_scale * np.asarray(conn_flux, dtype=float)
-    fb = adv_scale * np.asarray(bnd_flux, dtype=float)
-    fp, fm = np.maximum(f, 0.0), np.minimum(f, 0.0)
-
     rhs = np.asarray(acc_old, dtype=float) * np.asarray(x_old, dtype=float)
     if source is not None:
         rhs = rhs + dt * np.asarray(source, dtype=float)
-
-    diag = np.asarray(acc_new, dtype=float).copy()
-    if reaction_diag is not None:
-        diag = diag + dt * np.asarray(reaction_diag, dtype=float)
-    if reaction_rhs is not None:
-        rhs = rhs + dt * np.asarray(reaction_rhs, dtype=float)
-
-    rows = [np.arange(lay.ndof),
-            top.ci, top.ci, top.cj, top.cj,       # diffusion
-            top.ci, top.ci, top.cj, top.cj]       # advection (upwind)
-    cols = [np.arange(lay.ndof),
-            top.ci, top.cj, top.cj, top.ci,
-            top.ci, top.cj, top.cj, top.ci]
-    vals = [diag,
-            dt * t_conn, -dt * t_conn, dt * t_conn, -dt * t_conn,
-            dt * fp, dt * fm, -dt * fm, -dt * fp]
-
-    brows, bcols, bvals = [], [], []
-    for i, kind in enumerate(kinds):
-        d = top.b_dof[i]
-        g = values[i]
-        if kind == DIRICHLET:
-            brows.append(d); bcols.append(d); bvals.append(dt * t_bnd[i])
-            rhs[d] += dt * t_bnd[i] * g
-            if fb[i] >= 0:
-                brows.append(d); bcols.append(d); bvals.append(dt * fb[i])
-            else:
-                rhs[d] -= dt * fb[i] * g
-        elif kind == OUTFLOW:
-            if fb[i] >= 0:
-                brows.append(d); bcols.append(d); bvals.append(dt * fb[i])
-            else:
-                rhs[d] -= dt * fb[i] * g
-        elif kind == FLUX:
-            rhs[d] -= dt * g * top.b_area[i]
-        else:
-            raise WellPosednessError(f"unknown transport boundary kind {kind!r}")
-
-    system = assemble_arrays(
-        np.concatenate(rows + [np.asarray(brows, dtype=int)]),
-        np.concatenate(cols + [np.asarray(bcols, dtype=int)]),
-        np.concatenate(vals + [np.asarray(bvals, dtype=float)]),
-        lay.ndof, rhs)
-    x = solve(system, tol=1e-10)
-
-    bnd_total = np.zeros(len(top.b_dof))
-    for i, kind in enumerate(kinds):
-        d = top.b_dof[i]
-        g = values[i]
-        adv = fb[i] * x[d] if fb[i] >= 0 else fb[i] * g
-        if kind == DIRICHLET:
-            bnd_total[i] = t_bnd[i] * (x[d] - g) + adv
-        elif kind == OUTFLOW:
-            bnd_total[i] = adv
-        else:
-            bnd_total[i] = g * top.b_area[i]
-    return x, bnd_total
+    return _tpfa_solve(
+        top, transmissibilities(top, coef, resist),
+        boundary_transmissibilities(top, coef), kinds, values, rhs, dt,
+        diag=np.asarray(acc_new, dtype=float),
+        flux=adv_scale * np.asarray(conn_flux, dtype=float),
+        bnd_flux=adv_scale * np.asarray(bnd_flux, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +274,7 @@ def heat_step(top: Topology, state: FieldState, conn_flux, bnd_flux,
     coef[lay.is_bulk] = cl.effective_conductivity(pore_star[lay.is_bulk], params)
     coef[lay.is_frac] = pore_star[lay.is_frac] * params.lambdaw
 
-    resist = _transport_resistances(top, pore_star, params.lambdaw, params.lambdaw)
+    resist = _transport_resistances(top, pore_star, params.lambdaw)
 
     acc_new = np.empty(lay.ndof)
     acc_old = np.empty(lay.ndof)
@@ -295,10 +287,19 @@ def heat_step(top: Topology, state: FieldState, conn_flux, bnd_flux,
     acc_old[low] = params.rhow_cw * pore_n[low] * lay.measure[low]
 
     kinds, values = _resolve_bc(top, bc, "heat", t)
-    theta, bnd_total = transport_step(
+    return transport_step(
         top, coef, resist, acc_new, acc_old, state.theta, conn_flux, bnd_flux,
         params.rhow_cw, kinds, values, dt, source=source)
-    return theta, bnd_total
+
+
+def solute_coefficients(top: Topology, pore_star, params: PhysParams):
+    """Per-dof diffusivity and per-connection interface resistance for
+    the solute solve, evaluated at the given pore fractions."""
+    lay = top.layout
+    coef = np.ones(lay.ndof)
+    coef[lay.is_bulk] = pore_star[lay.is_bulk] * params.d
+    coef[lay.is_frac] = pore_star[lay.is_frac] * params.dgamma
+    return coef, _transport_resistances(top, pore_star, params.deltagamma)
 
 
 def solute_ad_step(top: Topology, state: FieldState, conn_flux, bnd_flux,
@@ -306,33 +307,21 @@ def solute_ad_step(top: Topology, state: FieldState, conn_flux, bnd_flux,
                    dt: float, t: float, source=None):
     """Implicit Euler advection-diffusion solve for the solute with the
     reaction term set to zero."""
-    lay = top.layout
-    coef = np.ones(lay.ndof)
-    coef[lay.is_bulk] = pore_star[lay.is_bulk] * params.d
-    coef[lay.is_frac] = pore_star[lay.is_frac] * params.dgamma
-
-    resist = _transport_resistances(top, pore_star, params.deltagamma,
-                                    params.deltagamma)
-
+    coef, resist = solute_coefficients(top, pore_star, params)
     acc_new = pore_star * top.layout.measure
     acc_old = pore_n * top.layout.measure
 
     kinds, values = _resolve_bc(top, bc, "solute", t)
-    u, bnd_total = transport_step(
+    return transport_step(
         top, coef, resist, acc_new, acc_old, state.u, conn_flux, bnd_flux,
         1.0, kinds, values, dt, source=source)
-    return u, bnd_total
 
 
-def _transport_resistances(top: Topology, pore_star, normal_coef_gamma,
-                           normal_coef_iota):
+def _transport_resistances(top: Topology, pore_star, normal_coef):
     """Interface resistance eps/coef on couplings and intersections."""
     resist = np.zeros(top.n_conn)
-    for kind, ncoef in ((COUPLING, normal_coef_gamma),
-                        (INTERSECT, normal_coef_iota)):
-        m = top.kind == kind
-        if np.any(m):
-            resist[m] = _interface_resistance(
-                pore_star[top.low_dof[m]], np.full(np.count_nonzero(m), ncoef),
-                1.0)
+    low = top.low_dof >= 0
+    resist[low] = _interface_resistance(
+        pore_star[top.low_dof[low]], np.full(np.count_nonzero(low), normal_coef),
+        1.0)
     return resist

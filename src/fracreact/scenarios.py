@@ -62,12 +62,13 @@ def make_state(top: Topology, params: PhysParams, *, p=0.0, theta=1.0,
     pore[lay.is_bulk] = params.phi0
     pore[lay.is_frac] = params.epsgamma0 if frac_aperture is None else frac_aperture
     pore[lay.is_inter] = params.epsiota0 if iota_aperture is None else iota_aperture
-    w_arr = np.full(lay.ndof, float(w)) if np.isscalar(w) else np.asarray(w, float).copy()
     return FieldState(p=np.full(lay.ndof, float(p)),
                       theta=np.full(lay.ndof, float(theta)),
                       u=np.full(lay.ndof, float(u)) if np.isscalar(u)
                       else np.asarray(u, float).copy(),
-                      w=w_arr, pore=pore, w_prev=w_arr.copy())
+                      w=np.full(lay.ndof, float(w)) if np.isscalar(w)
+                      else np.asarray(w, float).copy(),
+                      pore=pore)
 
 
 def dof_centroids(mesh: MixedDimMesh, top: Topology) -> np.ndarray:
@@ -194,7 +195,6 @@ def splitting_problem_factory(da: float):
         state = make_state(top_local, params)
         state.u[:] = u0
         state.w[:] = 1.0
-        state.w_prev[:] = 1.0
         return Problem(top=top_local, state0=state,
                        grid=TimeGrid(0.216, num_steps), params=params,
                        reaction=reaction, bc=bc,
@@ -315,7 +315,6 @@ def build_single_fracture_opening() -> Scenario:
     coords = dof_centroids(mesh, top)
     in_square = _region_mask(coords, (0.4, 0.4), (0.6, 0.6))
     state.w[in_square] = 1.0
-    state.w_prev[:] = state.w
     problem = Problem(top=top, state0=state, grid=TimeGrid(5.0, 100),
                       params=params, reaction=ReactionParams(),
                       bc=_square_bc(u_in=0.0), eta=make_eta(top, params))
@@ -378,7 +377,6 @@ def build_multi_fracture_opening() -> Scenario:
     state = make_state(top, params, frac_aperture=1e-4, iota_aperture=1e-4)
     state.w[lay.is_frac] = 10.0
     state.w[lay.is_inter] = 10.0
-    state.w_prev[:] = state.w
     problem = Problem(top=top, state0=state, grid=TimeGrid(5.0, 100),
                       params=params, reaction=ReactionParams(),
                       bc=_square_bc(u_in=0.0), eta=make_eta(top, params))

@@ -1,6 +1,6 @@
 """Time-loop orchestrator for the ten-step operator-splitting scheme.
 
-Per step: extrapolate the precipitate, predict pore fractions, update
+Per step: predict the precipitate change and the pore fractions, update
 permeabilities, run the three implicit sub-solves (flow, heat, solute),
 rescale for the predicted pore volume, react cell-by-cell, correct the
 pore fractions from the actual reaction, and rescale the concentrations
@@ -22,7 +22,7 @@ from .constitutive import PhysParams
 from .discretize import Topology
 from .errors import FracReactError
 from .physics import (FieldState, darcy_step, heat_step, solute_ad_step,
-                      transport_step, _resolve_bc, _transport_resistances)
+                      solute_coefficients, transport_step, _resolve_bc)
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,6 @@ def _predict_pore(pore, dw, eta):
     denom = np.maximum(1.0 + np.asarray(eta) * np.asarray(dw, dtype=float),
                        PREDICT_DENOM_MIN)
     return np.asarray(pore, dtype=float) / denom
-
-
-def extrapolate_precipitate(w_n, w_prev):
-    """Second-order extrapolation 2*w_n - w_prev (w_prev = w0 initially)."""
-    return 2.0 * np.asarray(w_n, dtype=float) - np.asarray(w_prev, dtype=float)
 
 
 def rescale_for_pore_change(value, old_fraction, new_fraction):
@@ -230,9 +225,8 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
 
     state_next = FieldState(p=np.asarray(p, dtype=float), theta=theta_new,
                             u=u_new, w=w_new, pore=pore_new,
-                            w_prev=state.w.copy(),
                             react_prev=np.asarray(w_star2 - w_half),
-                            conn_flux=conn_flux, bnd_flux=bnd_flux)
+                            bnd_flux=bnd_flux)
 
     mass_new = (total_mass(lay, pore_new, u_new)
                 + total_mass(lay, pore_new, w_new))
@@ -310,23 +304,21 @@ def monolithic_linear_run(problem: Problem) -> np.ndarray:
     lam = np.broadcast_to(
         np.asarray(lambda_minus(problem.state0.theta, rp)), u.shape)
 
-    coef = np.ones(lay.ndof)
-    coef[lay.is_bulk] = pore[lay.is_bulk] * params.d
-    coef[lay.is_frac] = pore[lay.is_frac] * params.dgamma
-    resist = _transport_resistances(top, pore, params.deltagamma,
-                                    params.deltagamma)
+    coef, resist = solute_coefficients(top, pore, params)
+    # the linear rate lam*(u/u_e - 1) splits into an accumulation and a
+    # source term
     acc = pore * lay.measure
-    reaction_diag = acc * lam / rp.u_e
-    reaction_rhs = acc * lam
+    acc_react = acc + dt * (acc * lam / rp.u_e)
+    react_source = acc * lam
 
     for n in range(1, problem.grid.num_steps + 1):
         t_new = n * dt
         kinds, values = _resolve_bc(top, problem.bc, "solute", t_new)
+        source = _resolve_source(problem.solute_source, t_new)
         u, _ = transport_step(
-            top, coef, resist, acc, acc, u, conn_flux, bnd_flux, 1.0,
-            kinds, values, dt,
-            source=_resolve_source(problem.solute_source, t_new),
-            reaction_diag=reaction_diag, reaction_rhs=reaction_rhs)
+            top, coef, resist, acc_react, acc, u, conn_flux, bnd_flux, 1.0,
+            kinds, values, dt, source=react_source if source is None
+            else source + react_source)
         w = w + dt * lam * (u / rp.u_e - 1.0)
         if np.any(w <= 0):
             raise FracReactError(

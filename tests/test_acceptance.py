@@ -289,7 +289,6 @@ def test_criterion_9_temporal_self_convergence():
         state = base.state0.copy()
         state.u[:] = 2.0 * np.exp(-((x - 0.5) / 0.08) ** 2)
         state.w[:] = 0.5           # stays positive: no switching events
-        state.w_prev[:] = state.w
         return replace(base, state0=state,
                        grid=TimeGrid(base.grid.t_end, num_steps))
 

@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from fracreact.discretize import (BULK, COUPLING, FRAC, INTERSECT,
                                   assemble_mixed_divergence,
-                                  boundary_faces_by_tag,
                                   boundary_transmissibilities, build_layout,
-                                  build_topology, coupling_transmissibility,
-                                  tpfa_bulk, transmissibilities,
-                                  upwind_face_values)
+                                  build_topology, transmissibilities)
 from fracreact.mesh import build_interval_mesh, build_structured_2d
+from fracreact.physics import FLUX, OUTFLOW, transport_step
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +52,10 @@ class TestLayout:
         mesh, top = network
         lay = top.layout
         for fid, frac in enumerate(mesh.fractures):
-            assert len(lay.frac_dofs(fid)) == frac.num_cells
+            dofs = np.arange(frac.num_cells) + lay.frac_offsets[fid]
+            assert np.all(lay.is_frac[dofs])
+            np.testing.assert_array_equal(np.nonzero(lay.frac_of_dof == fid)[0],
+                                          dofs)
 
 
 class TestTopology:
@@ -117,49 +118,79 @@ class TestTransmissibility:
         tb = boundary_transmissibilities(top, coef)
         np.testing.assert_allclose(tb, 1.0 / (0.1 / 2.0))
 
-    def test_tpfa_bulk_interval(self, line):
-        mesh, _ = line
-        t = tpfa_bulk(mesh, np.full(mesh.num_cells, 1.0))
-        np.testing.assert_allclose(t[1:-1], 1.0 / 0.2)   # interior k/h
-        np.testing.assert_allclose(t[[0, -1]], 1.0 / 0.1)  # half cell
-
     def test_tpfa_bulk_skips_fracture_faces(self, network):
-        mesh, _ = network
-        t = tpfa_bulk(mesh, np.full(mesh.num_cells, 1.0))
+        # a face cut by a fracture carries two couplings, no bulk connection
+        mesh, top = network
+        bulk_faces = set(top.face_id[top.kind == BULK].tolist())
         for f in mesh.frac_faces:
-            assert t[f] == 0.0
+            assert f not in bulk_faces
+            assert np.count_nonzero((top.face_id == f)
+                                    & (top.kind == COUPLING)) == 2
 
-    def test_coupling_series_composition(self):
-        # interface conductance k*a/(mu*eps) in series with the matrix half
-        t = coupling_transmissibility(1e-2, 1e2, 1.0, matrix_half_t=4.0,
-                                      area=0.25)
-        interface = 1e2 * 0.25 / 1e-2
-        assert t == pytest.approx(1.0 / (1.0 / interface + 1.0 / 4.0))
+    def test_coupling_series_composition(self, network):
+        # interface conductance kappa*a/(mu*eps) in series with the matrix
+        # half-transmissibility k*a/d of the bulk side
+        _, top = network
+        k = np.nonzero(top.kind == COUPLING)[0][0]
+        coef = np.full(top.layout.ndof, 2.0)
+        eps, kappa, mu = 1e-2, 1e2, 1.0
+        resist = np.zeros(top.n_conn)
+        resist[k] = mu * eps / kappa
+        t = transmissibilities(top, coef, resist)[k]
+        interface = kappa * top.area[k] / (mu * eps)
+        matrix_half = 2.0 * top.area[k] / top.di[k]
+        assert top.dj[k] == 0.0      # no distance on the fracture side
+        assert t == pytest.approx(1.0 / (1.0 / interface + 1.0 / matrix_half),
+                                  rel=1e-14)
 
-    def test_coupling_degenerate_cases(self):
-        assert coupling_transmissibility(0.0, 1e2, 1.0, 4.0) == 0.0
-        assert coupling_transmissibility(1e-2, 0.0, 1.0, 4.0) == 0.0
-        assert coupling_transmissibility(1e-2, 1e2, 1.0, 0.0) == 0.0
+    def test_coupling_degenerate_cases(self, network):
+        _, top = network
+        k = np.nonzero(top.kind == COUPLING)[0][0]
+        coef = np.full(top.layout.ndof, 2.0)
+        blocked = np.zeros(top.n_conn)
+        blocked[k] = np.inf          # zero interface permeability
+        assert transmissibilities(top, coef, blocked)[k] == 0.0
+        coef[top.ci[k]] = 0.0        # blocked matrix side
+        assert transmissibilities(top, coef)[k] == 0.0
+
+
+def _advect(top, x_old, conn_flux, bnd_flux, kinds, values, dt=0.1):
+    """One implicit pure-advection step with unit accumulation."""
+    zero = np.zeros(top.layout.ndof)
+    ones = np.ones(top.layout.ndof)
+    return transport_step(top, zero, np.zeros(top.n_conn), ones, ones, x_old,
+                          conn_flux, bnd_flux, 1.0, kinds, values, dt)
 
 
 class TestUpwind:
     def test_sign_selects_upstream(self, line):
         _, top = line
-        vals = np.arange(top.layout.ndof, dtype=float)
+        x_old = np.arange(top.layout.ndof, dtype=float)
         flux = np.array([1.0, -1.0, 1.0, -1.0])
-        up = upwind_face_values(top, flux, vals)
-        np.testing.assert_array_equal(up, [vals[top.ci[0]], vals[top.cj[1]],
-                                           vals[top.ci[2]], vals[top.cj[3]]])
+        dt = 0.1
+        x, _ = _advect(top, x_old, flux, np.zeros(2), [FLUX, FLUX],
+                       np.zeros(2), dt)
+        up = np.where(flux >= 0, x[top.ci], x[top.cj])
+        down = np.where(flux >= 0, x[top.cj], x[top.ci])
+        # the solve balances the upstream face values, not the downstream
+        np.testing.assert_allclose(
+            x - x_old + dt * assemble_mixed_divergence(top, flux * up), 0.0,
+            atol=1e-13)
+        assert not np.allclose(
+            x - x_old + dt * assemble_mixed_divergence(top, flux * down), 0.0)
 
     def test_boundary_inflow_uses_datum(self, line):
         _, top = line
-        vals = np.full(top.layout.ndof, 5.0)
-        bvals = np.array([9.0, 9.0])
-        up, bup = upwind_face_values(top, np.zeros(top.n_conn), vals,
-                                     boundary_values=bvals,
-                                     boundary_flux=np.array([-1.0, 1.0]))
-        assert bup[0] == 9.0     # inflow carries the boundary value
-        assert bup[1] == 5.0     # outflow carries the cell value
+        left = list(top.b_tag).index("left")
+        bflux = np.where(np.arange(2) == left, -1.0, 1.0)
+        x, bnd_total = _advect(top, np.full(top.layout.ndof, 5.0),
+                               np.zeros(top.n_conn), bflux,
+                               [OUTFLOW, OUTFLOW], np.array([9.0, 9.0]))
+        right = 1 - left
+        assert bnd_total[left] == -9.0   # inflow carries the boundary value
+        # outflow carries the cell value
+        assert bnd_total[right] == x[top.b_dof[right]]
+        assert x[top.b_dof[right]] < 5.0
 
 
 class TestDivergence:
@@ -183,8 +214,9 @@ class TestDivergence:
 
 
 def test_boundary_faces_by_tag_partition(network):
-    _, top = network
-    groups = boundary_faces_by_tag(top)
-    counted = sum(len(ix) for ix in groups.values())
-    assert counted == len(top.b_dof)
-    assert set(groups) == set(top.b_tag)
+    mesh, top = network
+    tags = np.asarray(top.b_tag)
+    assert len(tags) == len(top.b_dof)
+    for tag in set(mesh.boundary_tags.values()):
+        expect = sorted(f for f, t in mesh.boundary_tags.items() if t == tag)
+        assert sorted(top.b_face_id[tags == tag].tolist()) == expect

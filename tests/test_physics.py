@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from fracreact.constitutive import PhysParams
-from fracreact.discretize import assemble_mixed_divergence, build_topology
+from fracreact.discretize import (assemble_mixed_divergence,
+                                  boundary_transmissibilities, build_topology,
+                                  transmissibilities)
 from fracreact.errors import WellPosednessError
+from fracreact.linsolve import assemble_arrays, solve
 from fracreact.mesh import build_interval_mesh, build_structured_2d
 from fracreact.physics import (DIRICHLET, FLUX, OUTFLOW, PRESSURE, SegmentBC,
-                               darcy_step, flow_coefficients, heat_step,
-                               solute_ad_step)
+                               _resolve_bc, darcy_step, flow_coefficients,
+                               heat_step, solute_ad_step, solute_coefficients,
+                               transport_step, value_at)
 from fracreact.scenarios import make_state
 
 
@@ -95,6 +99,15 @@ class TestDarcy:
             darcy_step(top, pore, pore, params,
                        {"left": SegmentBC(flow=(PRESSURE, 1.0))}, dt=0.1,
                        t=0.1)
+
+    def test_rejects_transport_kind(self, line):
+        _, top = line
+        params = PhysParams()
+        pore = np.full(top.layout.ndof, params.phi0)
+        bc = _interval_bc()
+        bc["right"] = SegmentBC(flow=(DIRICHLET, 0.0))
+        with pytest.raises(WellPosednessError, match="dirichlet"):
+            darcy_step(top, pore, pore, params, bc, dt=0.1, t=0.1)
 
     def test_time_dependent_boundary_value(self, line):
         _, top = line
@@ -220,6 +233,17 @@ class TestTransport:
         # pure diffusion smooths towards the mean
         assert u.std() < state.u.std()
 
+    def test_solute_rejects_flow_kind(self, line):
+        _, top = line
+        params = PhysParams()
+        bc = _interval_bc()
+        pore, conn, bnd = self._flow(top, params, bc)
+        bc["left"] = SegmentBC(flow=(PRESSURE, 1.0), solute=(PRESSURE, 1.0))
+        state = make_state(top, params)
+        with pytest.raises(WellPosednessError, match="pressure"):
+            solute_ad_step(top, state, conn, bnd, pore, pore, params, bc,
+                           dt=0.1, t=0.1)
+
     def test_dirichlet_inflow_raises_concentration(self, line):
         _, top = line
         params = PhysParams(d=0.02)
@@ -232,3 +256,210 @@ class TestTransport:
         assert np.all(u <= 2.0 + 1e-12)
         # net boundary total is an influx (negative outward sum)
         assert np.sum(bnd_total) < 0.0
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-boundary-face assembly the shared TPFA path replaced
+
+
+def _reference_bc(top, bc, equation, t):
+    kinds = []
+    values = np.empty(len(top.b_dof))
+    for i, tag in enumerate(top.b_tag):
+        kind, val = getattr(bc[tag], equation)
+        kinds.append(kind)
+        values[i] = value_at(val, t)
+    return kinds, values
+
+
+def _reference_darcy(top, pore_star, pore_n, params, bc, dt, t, source=None):
+    lay = top.layout
+    coef, resist = flow_coefficients(top, pore_star, params)
+    t_conn = transmissibilities(top, coef, resist)
+    t_bnd = boundary_transmissibilities(top, coef)
+    kinds, values = _reference_bc(top, bc, "flow", t)
+
+    rhs = -(np.asarray(pore_star) - np.asarray(pore_n)) * lay.measure / dt
+    if source is not None:
+        rhs = rhs + np.asarray(source, dtype=float)
+    rows = [top.ci, top.ci, top.cj, top.cj]
+    cols = [top.ci, top.cj, top.cj, top.ci]
+    vals = [t_conn, -t_conn, t_conn, -t_conn]
+    for i, kind in enumerate(kinds):
+        d = top.b_dof[i]
+        if kind == PRESSURE:
+            rows.append([d]); cols.append([d]); vals.append([t_bnd[i]])
+            rhs[d] += t_bnd[i] * values[i]
+        else:
+            rhs[d] -= values[i] * top.b_area[i]
+    system = assemble_arrays(np.concatenate([np.atleast_1d(r) for r in rows]),
+                             np.concatenate([np.atleast_1d(c) for c in cols]),
+                             np.concatenate([np.atleast_1d(v) for v in vals]),
+                             lay.ndof, rhs)
+    p = solve(system, tol=1e-10)
+
+    conn_flux = t_conn * (p[top.ci] - p[top.cj])
+    bnd_flux = np.empty(len(top.b_dof))
+    for i, kind in enumerate(kinds):
+        if kind == PRESSURE:
+            bnd_flux[i] = t_bnd[i] * (p[top.b_dof[i]] - values[i])
+        else:
+            bnd_flux[i] = values[i] * top.b_area[i]
+    return p, conn_flux, bnd_flux
+
+
+def _reference_transport(top, coef, resist, acc_new, acc_old, x_old,
+                         conn_flux, bnd_flux, adv_scale, kinds, values, dt,
+                         source=None, reaction_diag=None, reaction_rhs=None):
+    lay = top.layout
+    t_conn = transmissibilities(top, coef, resist)
+    t_bnd = boundary_transmissibilities(top, coef)
+    f = adv_scale * np.asarray(conn_flux, dtype=float)
+    fb = adv_scale * np.asarray(bnd_flux, dtype=float)
+    fp, fm = np.maximum(f, 0.0), np.minimum(f, 0.0)
+
+    rhs = np.asarray(acc_old, dtype=float) * np.asarray(x_old, dtype=float)
+    if source is not None:
+        rhs = rhs + dt * np.asarray(source, dtype=float)
+    diag = np.asarray(acc_new, dtype=float).copy()
+    if reaction_diag is not None:
+        diag = diag + dt * np.asarray(reaction_diag, dtype=float)
+    if reaction_rhs is not None:
+        rhs = rhs + dt * np.asarray(reaction_rhs, dtype=float)
+
+    rows = [np.arange(lay.ndof), top.ci, top.ci, top.cj, top.cj,
+            top.ci, top.ci, top.cj, top.cj]
+    cols = [np.arange(lay.ndof), top.ci, top.cj, top.cj, top.ci,
+            top.ci, top.cj, top.cj, top.ci]
+    vals = [diag, dt * t_conn, -dt * t_conn, dt * t_conn, -dt * t_conn,
+            dt * fp, dt * fm, -dt * fm, -dt * fp]
+    brows, bvals = [], []
+    for i, kind in enumerate(kinds):
+        d = top.b_dof[i]
+        g = values[i]
+        if kind == DIRICHLET:
+            brows.append(d); bvals.append(dt * t_bnd[i])
+            rhs[d] += dt * t_bnd[i] * g
+        if kind in (DIRICHLET, OUTFLOW):
+            if fb[i] >= 0:
+                brows.append(d); bvals.append(dt * fb[i])
+            else:
+                rhs[d] -= dt * fb[i] * g
+        elif kind == FLUX:
+            rhs[d] -= dt * g * top.b_area[i]
+    brows = np.asarray(brows, dtype=int)
+    system = assemble_arrays(np.concatenate(rows + [brows]),
+                             np.concatenate(cols + [brows]),
+                             np.concatenate(vals + [np.asarray(bvals)]),
+                             lay.ndof, rhs)
+    x = solve(system, tol=1e-10)
+
+    bnd_total = np.zeros(len(top.b_dof))
+    for i, kind in enumerate(kinds):
+        d = top.b_dof[i]
+        g = values[i]
+        adv = fb[i] * x[d] if fb[i] >= 0 else fb[i] * g
+        if kind == DIRICHLET:
+            bnd_total[i] = t_bnd[i] * (x[d] - g) + adv
+        elif kind == OUTFLOW:
+            bnd_total[i] = adv
+        else:
+            bnd_total[i] = g * top.b_area[i]
+    return x, bnd_total
+
+
+class TestSharedAssembly:
+    """The vectorised boundary closures reproduce the per-face assembly
+    to the bit, on a grid whose four corner cells each carry two
+    boundary faces of different kinds."""
+
+    T = 0.3
+    DT = 0.05
+
+    # (left pressure, top pressure, right flux): the left faces flow out
+    # in the first set and in in the second, so boundary data meets the
+    # corner cells in both orders
+    @pytest.fixture(scope="class", params=[(0.4, 0.75, -0.3), (1.2, 0.9, 0.3)])
+    def case(self, request):
+        p_left, p_top, q_right = request.param
+        # one fracture ends on the bottom boundary, one crosses it
+        mesh = build_structured_2d(6, 6, fractures=[
+            [(0.5, 0.0), (0.5, 4 / 6)], [(1 / 6, 0.5), (5 / 6, 0.5)]])
+        top = build_topology(mesh)
+        params = PhysParams(d=0.02)
+        bc = {
+            "bottom": SegmentBC(flow=(PRESSURE, 1.0), heat=(DIRICHLET, 1.5),
+                                solute=(DIRICHLET, 2.0)),
+            "left": SegmentBC(flow=(PRESSURE, p_left), heat=(DIRICHLET, 1.0),
+                              solute=(DIRICHLET, lambda t: 1.0 + t)),
+            "top": SegmentBC(flow=(PRESSURE, p_top), heat=(OUTFLOW, 0.7),
+                             solute=(OUTFLOW, 0.3)),
+            "right": SegmentBC(flow=(FLUX, q_right), heat=(FLUX, 0.1),
+                               solute=(FLUX, -0.2)),
+        }
+        rng = np.random.default_rng(17)
+        state = make_state(top, params)
+        state.u[:] = rng.uniform(0.0, 1.0, top.layout.ndof)
+        pore_star = state.pore * rng.uniform(0.9, 1.1, top.layout.ndof)
+        source = rng.normal(scale=0.1, size=top.layout.ndof)
+        return top, params, bc, state, pore_star, source
+
+    def test_case_exercises_every_closure(self, case):
+        top, params, bc, state, pore_star, _ = case
+        tags = np.asarray(top.b_tag)
+        _, _, bnd = darcy_step(top, pore_star, state.pore, params, bc,
+                               self.DT, self.T)
+        for tag in ("bottom", "top"):       # inflow and outflow faces
+            assert np.any(bnd[tags == tag] < 0) and np.any(bnd[tags == tag] > 0)
+        assert np.any((top.b_face_id < 0) & (tags == "bottom"))   # tip
+        _, counts = np.unique(top.b_dof, return_counts=True)
+        assert np.count_nonzero(counts == 2) == 4                 # corners
+
+    def test_darcy_matches_reference(self, case):
+        top, params, bc, state, pore_star, source = case
+        got = darcy_step(top, pore_star, state.pore, params, bc, self.DT,
+                         self.T, source=source)
+        want = _reference_darcy(top, pore_star, state.pore, params, bc,
+                                self.DT, self.T, source=source)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_transport_matches_reference(self, case):
+        top, params, bc, state, pore_star, source = case
+        _, conn, bnd = darcy_step(top, pore_star, state.pore, params, bc,
+                                  self.DT, self.T)
+        coef, resist = solute_coefficients(top, pore_star, params)
+        acc_new = pore_star * top.layout.measure
+        acc_old = state.pore * top.layout.measure
+        kinds, values = _resolve_bc(top, bc, "solute", self.T)
+        ref_kinds, ref_values = _reference_bc(top, bc, "solute", self.T)
+        got = transport_step(top, coef, resist, acc_new, acc_old, state.u,
+                             conn, bnd, 1.7, kinds, values, self.DT,
+                             source=source)
+        want = _reference_transport(top, coef, resist, acc_new, acc_old,
+                                    state.u, conn, bnd, 1.7, ref_kinds,
+                                    ref_values, self.DT, source=source)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_folded_reaction_matches_reference(self, case):
+        # the monolithic reference passes its linear reaction as part of
+        # the accumulation and the source
+        top, params, bc, state, pore_star, _ = case
+        _, conn, bnd = darcy_step(top, pore_star, state.pore, params, bc,
+                                  self.DT, self.T)
+        coef, resist = solute_coefficients(top, state.pore, params)
+        acc = state.pore * top.layout.measure
+        lam, u_e = 0.8, 1.3
+        kinds, values = _resolve_bc(top, bc, "solute", self.T)
+        ref_kinds, ref_values = _reference_bc(top, bc, "solute", self.T)
+        got = transport_step(top, coef, resist,
+                             acc + self.DT * (acc * lam / u_e), acc, state.u,
+                             conn, bnd, 1.0, kinds, values, self.DT,
+                             source=acc * lam)
+        want = _reference_transport(top, coef, resist, acc, acc, state.u,
+                                    conn, bnd, 1.0, ref_kinds, ref_values,
+                                    self.DT, reaction_diag=acc * lam / u_e,
+                                    reaction_rhs=acc * lam)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

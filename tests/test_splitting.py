@@ -1,4 +1,4 @@
-"""Time-loop orchestration: extrapolation and rescaling algebra, the
+"""Time-loop orchestration: rescaling algebra, the
 single-step update, mass audit, determinism and the splitting-error
 machinery."""
 
@@ -15,9 +15,9 @@ from fracreact.physics import (DIRICHLET, OUTFLOW, PRESSURE, SegmentBC,
 from fracreact.scenarios import (get_scenario, make_eta, make_state,
                                  splitting_problem_factory)
 from fracreact.splitting import (Problem, StepReport, TimeGrid, advance_step,
-                                 convergence_order, extrapolate_precipitate,
-                                 monolithic_linear_run, rescale_for_pore_change,
-                                 run, splitting_error_study, total_mass)
+                                 convergence_order, monolithic_linear_run,
+                                 rescale_for_pore_change, run,
+                                 splitting_error_study, total_mass)
 
 
 class TestTimeGrid:
@@ -41,18 +41,6 @@ class TestStepReport:
 
 
 class TestAlgebra:
-    def test_extrapolation_steady(self):
-        assert extrapolate_precipitate(0.3, 0.3) == pytest.approx(0.3)
-
-    def test_extrapolation_linear(self):
-        assert extrapolate_precipitate(0.4, 0.3) == pytest.approx(0.5)
-
-    def test_extrapolation_first_step(self):
-        # with the previous value initialised to the initial state the
-        # first extrapolation returns the initial precipitate
-        w0 = np.array([0.1, 0.7])
-        np.testing.assert_allclose(extrapolate_precipitate(w0, w0), w0)
-
     def test_rescale_identity(self):
         assert rescale_for_pore_change(0.3, 0.2, 0.2) == pytest.approx(0.3)
 
