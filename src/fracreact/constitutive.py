@@ -2,9 +2,9 @@
 
 Permeability-porosity (Kozeny-type), aperture-permeability (cubic law),
 the shared porosity/aperture update, effective thermal properties of the
-saturated matrix, and the nondimensional groups used to characterise runs.
+saturated matrix, and the in-place pore-fraction clamp.
 
-All functions accept scalars or numpy arrays and are pure.
+All other functions accept scalars or numpy arrays and are pure.
 """
 
 from __future__ import annotations
@@ -129,25 +129,6 @@ def effective_conductivity(phi, params: PhysParams):
     """Geometric-mean conductivity lambda_w^phi * lambda_s^(1-phi)."""
     phi = _check_unit_interval(phi)
     return params.lambdaw**phi * params.lambdas**(1.0 - phi)
-
-
-def reynolds_number(length: float, velocity: float, phi0: float, diffusivity: float) -> float:
-    """Advection-to-diffusion ratio L*Q*phi0/D."""
-    _require_positive(length=length, velocity=velocity, phi0=phi0, diffusivity=diffusivity)
-    return length * velocity * phi0 / diffusivity
-
-
-def damkohler_number(length: float, rate: float, phi0: float, velocity: float) -> float:
-    """Reaction-to-advection ratio L*lambda*phi0/Q; large values localise
-    the reaction around sources."""
-    _require_positive(length=length, rate=rate, phi0=phi0, velocity=velocity)
-    return length * rate * phi0 / velocity
-
-
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def clamp_pore_fraction(values, is_bulk):

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MeshConformityError
-from .mesh import MixedDimMesh
+from .mesh import TIP_BOUNDARY, TIP_INTERSECTION, MixedDimMesh
 
 # connection kinds
 BULK = 0
@@ -154,13 +154,13 @@ def build_topology(mesh: MixedDimMesh, layout: DofLayout | None = None) -> Topol
             low.append(-1); face_id.append(-1)
         for tip in frac.tips:
             tdof = off + tip.cell
-            if tip.kind == "intersection":
+            if tip.kind == TIP_INTERSECTION:
                 idof = layout.inter_offset + tip.intersection
                 ci.append(tdof); cj.append(idof); kind.append(INTERSECT)
                 area.append(1.0)
                 di.append(frac.measures[tip.cell] / 2.0); dj.append(0.0)
                 low.append(idof); face_id.append(-1)
-            elif tip.kind == "boundary":
+            elif tip.kind == TIP_BOUNDARY:
                 b_dof.append(tdof); b_area.append(1.0)
                 b_dist.append(frac.measures[tip.cell] / 2.0)
                 b_tag.append(tip.tag); b_face.append(-1)

@@ -34,7 +34,6 @@ def assemble_arrays(rows, cols, vals, n: int, rhs=None) -> SparseSystem:
         raise IndexError(f"triplet index out of range for dimension {n}")
     mat = sps.coo_matrix((np.asarray(vals, dtype=float), (rows, cols)),
                          shape=(n, n)).tocsr()
-    mat.sum_duplicates()
     b = np.zeros(n) if rhs is None else np.asarray(rhs, dtype=float)
     return SparseSystem(matrix=mat, rhs=b)
 

@@ -8,23 +8,15 @@ realised by duplicating the coupled bulk face: the face's two adjacent
 bulk cells each exchange with the fracture cell through their own copy,
 and the direct cell-to-cell connection across the fracture is removed.
 
+Meshes are built by ``build_interval_mesh`` (1D, no fractures) and
+``build_structured_2d`` (Cartesian grid with axis-aligned fracture
+polylines). Each fracture arm ends in two tips whose kind is one of
+``TIP_BOUNDARY``, ``TIP_IMMERSED`` or ``TIP_INTERSECTION``; an
+intersection tip carries the index of its intersection object.
+``validate_conformity`` checks the structural invariants of a built mesh.
+
 Meshes are immutable after construction and safe to share across
-threads; construction and file I/O are single-threaded.
-
-Mesh exchange format (UTF-8 text, one entity per line, 0-based indices)::
-
-    mdmesh 1
-    dim <n>
-    points <N>            followed by N lines "x [y]"
-    cells <n> <N>         followed by N lines of vertex ids (ccw in 2D)
-    faces <n> <N>         followed by N lines "v0 [v1] c0 c1" (-1 = none)
-    boundary <tag> <N>    followed by N lines "face_id"
-    fracture <id> <N>     followed by N lines "v0 v1", ordered along the
-                          curve; each pair must match a bulk face
-    intersection <id> <N> followed by one line "x y" and N lines
-                          "fracture_id end" (end 0 = first cell, 1 = last)
-
-Writers emit fields in the order read back.
+threads; construction is single-threaded.
 """
 
 from __future__ import annotations
@@ -33,14 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, MeshConformityError
+from .errors import ConfigurationError
 
 SNAP_REL_TOL = 1e-9
 GEOM_REL_TOL = 1e-12
 
-_TIP_BOUNDARY = "boundary"
-_TIP_IMMERSED = "immersed"
-_TIP_INTERSECTION = "intersection"
+TIP_BOUNDARY = "boundary"
+TIP_IMMERSED = "immersed"
+TIP_INTERSECTION = "intersection"
 
 
 @dataclass(frozen=True)
@@ -48,7 +40,6 @@ class Tip:
     """One end of a fracture arm."""
 
     cell: int
-    point: np.ndarray
     kind: str                      # boundary | immersed | intersection
     tag: str | None = None         # boundary segment name, if boundary
     intersection: int | None = None
@@ -61,7 +52,6 @@ class Fracture:
     cell_faces: np.ndarray         # bulk face id per fracture cell
     centroids: np.ndarray          # (nc, dim)
     measures: np.ndarray           # (nc,)
-    normals: np.ndarray            # (nc, dim) unique normal n_gamma
     internal: np.ndarray           # (ni, 2) adjacent fracture-cell pairs
     tips: tuple[Tip, ...]
 
@@ -75,7 +65,6 @@ class Intersection:
     """A 0-dimensional meeting point of two or more fracture arms."""
 
     point: np.ndarray
-    incident: tuple[tuple[int, int], ...]   # (fracture id, end 0|1)
 
 
 @dataclass(frozen=True)
@@ -108,10 +97,6 @@ class MixedDimMesh:
         lo = self.points.min(axis=0)
         hi = self.points.max(axis=0)
         return float(np.linalg.norm(hi - lo))
-
-    @property
-    def domain_measure(self) -> float:
-        return float(self.cell_volumes.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +325,6 @@ def build_structured_2d(nx: int, ny: int,
 
     inter_nodes = sorted(crossing_nodes)
     inter_index = {nd: i for i, nd in enumerate(inter_nodes)}
-    inter_incident: list[list[tuple[int, int]]] = [[] for _ in inter_nodes]
 
     frac_objs = []
     frac_faces: dict[int, tuple[int, int]] = {}
@@ -356,36 +340,25 @@ def build_structured_2d(nx: int, ny: int,
             frac_faces[e] = (fid, local)
         cents = face_centroids[cfaces].copy()
         meas = face_areas[cfaces].copy()
-        norms = np.empty((ncf, 2))
-        for local in range(ncf):
-            a = points[node(*arm_nodes[local])]
-            b = points[node(*arm_nodes[local + 1])]
-            t = (b - a) / np.linalg.norm(b - a)
-            norms[local] = (-t[1], t[0])   # 90 deg ccw rotation
         internal = np.column_stack([np.arange(ncf - 1), np.arange(1, ncf)]) \
             if ncf > 1 else np.empty((0, 2), dtype=int)
         tips = []
-        for end, (nd, cell_id) in enumerate(((arm_nodes[0], 0),
-                                             (arm_nodes[-1], ncf - 1))):
-            pt = points[node(*nd)]
+        for nd, cell_id in ((arm_nodes[0], 0), (arm_nodes[-1], ncf - 1)):
             if nd in inter_index:
-                tips.append(Tip(cell=cell_id, point=pt, kind=_TIP_INTERSECTION,
+                tips.append(Tip(cell=cell_id, kind=TIP_INTERSECTION,
                                 intersection=inter_index[nd]))
-                inter_incident[inter_index[nd]].append((fid, end))
             else:
                 tag = on_boundary_tag(nd)
                 if tag is not None:
-                    tips.append(Tip(cell=cell_id, point=pt,
-                                    kind=_TIP_BOUNDARY, tag=tag))
+                    tips.append(Tip(cell=cell_id, kind=TIP_BOUNDARY, tag=tag))
                 else:
-                    tips.append(Tip(cell=cell_id, point=pt, kind=_TIP_IMMERSED))
+                    tips.append(Tip(cell=cell_id, kind=TIP_IMMERSED))
         frac_objs.append(Fracture(cell_faces=cfaces, centroids=cents,
-                                  measures=meas, normals=norms,
-                                  internal=internal, tips=tuple(tips)))
+                                  measures=meas, internal=internal,
+                                  tips=tuple(tips)))
 
-    intersections = tuple(
-        Intersection(point=points[node(*nd)], incident=tuple(inter_incident[i]))
-        for i, nd in enumerate(inter_nodes))
+    intersections = tuple(Intersection(point=points[node(*nd)])
+                          for nd in inter_nodes)
     return MixedDimMesh(
         dim=2, points=points, cell_vertices=tuple(cell_vertices),
         cell_centroids=centroids, cell_volumes=volumes,
@@ -424,6 +397,7 @@ def validate_conformity(mesh: MixedDimMesh) -> list[str]:
                           f"{mesh.boundary_tags[f]!r}")
 
     seen_faces: dict[int, tuple[int, int]] = {}
+    referenced: set[int] = set()
     for fid, frac in enumerate(mesh.fractures):
         for local, bface in enumerate(frac.cell_faces):
             bface = int(bface)
@@ -448,307 +422,19 @@ def validate_conformity(mesh: MixedDimMesh) -> list[str]:
         if len(frac.tips) != 2:
             report.append(f"fracture {fid} must have exactly 2 tips")
         for tip in frac.tips:
-            if tip.kind == _TIP_INTERSECTION:
+            if tip.kind == TIP_INTERSECTION:
                 if tip.intersection is None or \
                         tip.intersection >= len(mesh.intersections):
                     report.append(f"fracture {fid} tip references missing "
                                   f"intersection {tip.intersection}")
+                referenced.add(tip.intersection)
     for e, (fid, local) in mesh.frac_faces.items():
         if seen_faces.get(e) != (fid, local):
             report.append(f"frac_faces entry {e} -> {(fid, local)} does not "
                           f"match the fracture definition")
 
-    for iid, inter in enumerate(mesh.intersections):
-        if len(inter.incident) == 0:
-            report.append(f"intersection {iid} has no incident fracture tips")
-        for fid, end in inter.incident:
-            if fid >= len(mesh.fractures):
-                report.append(f"intersection {iid} references unknown "
-                              f"fracture {fid}")
-                continue
-            tip = mesh.fractures[fid].tips[end]
-            if tip.kind != _TIP_INTERSECTION or tip.intersection != iid:
-                report.append(f"intersection {iid} and fracture {fid} tip "
-                              f"{end} disagree")
-            elif np.linalg.norm(tip.point - inter.point) > tol:
-                report.append(f"intersection {iid} location does not match "
-                              f"fracture {fid} tip {end}")
+    for iid in range(len(mesh.intersections)):
+        if iid not in referenced:
+            report.append(f"intersection {iid} is not referenced by any "
+                          f"fracture tip")
     return report
-
-
-# ---------------------------------------------------------------------------
-# file I/O
-
-
-def save_mesh(mesh: MixedDimMesh, path) -> None:
-    """Write the mesh exchange format described in the module docstring."""
-    lines = ["mdmesh 1", f"dim {mesh.dim}"]
-    lines.append(f"points {len(mesh.points)}")
-    for p in mesh.points:
-        lines.append(" ".join(repr(float(x)) for x in p))
-    lines.append(f"cells {mesh.dim} {mesh.num_cells}")
-    for v in mesh.cell_vertices:
-        lines.append(" ".join(str(i) for i in v))
-    lines.append(f"faces {mesh.dim} {mesh.num_faces}")
-    for f in range(mesh.num_faces):
-        verts = " ".join(str(i) for i in mesh.face_vertices[f])
-        c0, c1 = mesh.face_cells[f]
-        lines.append(f"{verts} {c0} {c1}")
-    by_tag: dict[str, list[int]] = {}
-    for f, tag in mesh.boundary_tags.items():
-        by_tag.setdefault(tag, []).append(f)
-    for tag in sorted(by_tag):
-        faces = sorted(by_tag[tag])
-        lines.append(f"boundary {tag} {len(faces)}")
-        lines.extend(str(f) for f in faces)
-    for fid, frac in enumerate(mesh.fractures):
-        lines.append(f"fracture {fid} {frac.num_cells}")
-        for bface in frac.cell_faces:
-            v = mesh.face_vertices[int(bface)]
-            lines.append(f"{v[0]} {v[1]}")
-    for iid, inter in enumerate(mesh.intersections):
-        lines.append(f"intersection {iid} {len(inter.incident)}")
-        lines.append(" ".join(repr(float(x)) for x in inter.point))
-        for fid, end in inter.incident:
-            lines.append(f"{fid} {end}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-class _Reader:
-    def __init__(self, path):
-        with open(path, encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
-        self.pos = 0
-        self.path = path
-
-    def next(self):
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line:
-                return line
-        return None
-
-    def error(self, msg):
-        raise ConfigurationError(f"{self.path}:{self.pos}: {msg}")
-
-
-def load_mesh(path) -> MixedDimMesh:
-    """Parse and validate a mesh exchange file.
-
-    Raises ConfigurationError on parse problems (with line number) and
-    MeshConformityError when the assembled mesh violates an invariant.
-    """
-    rd = _Reader(path)
-    header = rd.next()
-    if header != "mdmesh 1":
-        rd.error(f"expected header 'mdmesh 1', got {header!r}")
-    line = rd.next()
-    if line is None or not line.startswith("dim "):
-        rd.error("expected 'dim <n>'")
-    dim = int(line.split()[1])
-    if dim not in (1, 2):
-        rd.error(f"unsupported dimension {dim}")
-
-    points = None
-    cell_vertices = None
-    face_vertices = None
-    face_cells = None
-    boundary_tags: dict[int, str] = {}
-    frac_sections: dict[int, list[tuple[int, ...]]] = {}
-    inter_sections: dict[int, tuple[np.ndarray, list[tuple[int, int]]]] = {}
-
-    line = rd.next()
-    while line is not None:
-        fields = line.split()
-        try:
-            if fields[0] == "points":
-                n = int(fields[1])
-                points = np.array([[float(x) for x in rd.next().split()]
-                                   for _ in range(n)])
-            elif fields[0] == "cells":
-                n = int(fields[2])
-                cell_vertices = tuple(tuple(int(x) for x in rd.next().split())
-                                      for _ in range(n))
-            elif fields[0] == "faces":
-                n = int(fields[2])
-                nv = 2 if dim == 2 else 1
-                face_vertices = []
-                face_cells = []
-                for _ in range(n):
-                    parts = [int(x) for x in rd.next().split()]
-                    face_vertices.append(tuple(parts[:nv]))
-                    face_cells.append(tuple(parts[nv:nv + 2]))
-                face_vertices = tuple(face_vertices)
-                face_cells = np.asarray(face_cells)
-            elif fields[0] == "boundary":
-                tag, n = fields[1], int(fields[2])
-                for _ in range(n):
-                    boundary_tags[int(rd.next())] = tag
-            elif fields[0] == "fracture":
-                fid, n = int(fields[1]), int(fields[2])
-                frac_sections[fid] = [tuple(int(x) for x in rd.next().split())
-                                      for _ in range(n)]
-            elif fields[0] == "intersection":
-                iid, n = int(fields[1]), int(fields[2])
-                pt = np.array([float(x) for x in rd.next().split()])
-                incident = []
-                for _ in range(n):
-                    a, b = rd.next().split()
-                    incident.append((int(a), int(b)))
-                inter_sections[iid] = (pt, incident)
-            else:
-                rd.error(f"unknown section {fields[0]!r}")
-        except (TypeError, ValueError, IndexError, AttributeError) as exc:
-            rd.error(f"malformed entity: {exc}")
-        line = rd.next()
-
-    if points is None or cell_vertices is None or face_vertices is None:
-        raise ConfigurationError(f"{path}: missing points/cells/faces section")
-
-    cell_centroids, cell_volumes = _cell_geometry(points, cell_vertices, dim)
-    face_centroids = np.array([points[list(v)].mean(axis=0)
-                               for v in face_vertices])
-    face_areas, face_normals = _face_geometry(points, face_vertices, face_cells,
-                                              cell_centroids, dim)
-
-    edge_to_face = {frozenset(v): f for f, v in enumerate(face_vertices)}
-    fractures = []
-    conformity_pre: list[str] = []
-    for fid in sorted(frac_sections):
-        pairs = frac_sections[fid]
-        cfaces = []
-        for local, pair in enumerate(pairs):
-            f = edge_to_face.get(frozenset(pair))
-            if f is None:
-                conformity_pre.append(
-                    f"fracture {fid} cell {local} with vertices {pair} does "
-                    f"not match any bulk face")
-                continue
-            cfaces.append(f)
-        if conformity_pre:
-            continue
-        cfaces = np.asarray(cfaces, dtype=int)
-        ncf = len(cfaces)
-        cents = face_centroids[cfaces].copy()
-        meas = face_areas[cfaces].copy()
-        norms = np.empty((ncf, points.shape[1]))
-        for local in range(ncf):
-            v = face_vertices[cfaces[local]]
-            t = points[v[1]] - points[v[0]]
-            t = t / np.linalg.norm(t)
-            norms[local] = (-t[1], t[0])
-        internal = np.column_stack([np.arange(ncf - 1), np.arange(1, ncf)]) \
-            if ncf > 1 else np.empty((0, 2), dtype=int)
-        fractures.append((fid, cfaces, cents, meas, norms, internal, pairs))
-    if conformity_pre:
-        raise MeshConformityError("; ".join(conformity_pre))
-
-    # tips: classify each arm end against intersections and boundary
-    boundary_vertices = {v for f in boundary_tags for v in face_vertices[f]}
-    vertex_tag = {}
-    for f, tag in boundary_tags.items():
-        for v in face_vertices[f]:
-            vertex_tag.setdefault(v, tag)
-    tip_of: dict[tuple[int, int], Tip] = {}
-    for iid in sorted(inter_sections):
-        pt, incident = inter_sections[iid]
-        for fid, end in incident:
-            tip_of[(fid, end)] = (iid, pt)
-
-    frac_objs = []
-    frac_faces: dict[int, tuple[int, int]] = {}
-    for fid, cfaces, cents, meas, norms, internal, pairs in fractures:
-        ncf = len(cfaces)
-        end_vertices = []
-        if ncf == 1:
-            end_vertices = [pairs[0][0], pairs[0][1]]
-        else:
-            first, second = set(pairs[0]), set(pairs[1])
-            end_vertices.append((first - second).pop())
-            last, prev = set(pairs[-1]), set(pairs[-2])
-            end_vertices.append((last - prev).pop())
-        tips = []
-        for end, v in enumerate(end_vertices):
-            cell_id = 0 if end == 0 else ncf - 1
-            key = (fid, end)
-            if key in tip_of:
-                iid, pt = tip_of[key]
-                tips.append(Tip(cell=cell_id, point=points[v],
-                                kind=_TIP_INTERSECTION, intersection=iid))
-            elif v in boundary_vertices:
-                tips.append(Tip(cell=cell_id, point=points[v],
-                                kind=_TIP_BOUNDARY, tag=vertex_tag[v]))
-            else:
-                tips.append(Tip(cell=cell_id, point=points[v],
-                                kind=_TIP_IMMERSED))
-        for local, f in enumerate(cfaces):
-            frac_faces[int(f)] = (fid, local)
-        frac_objs.append(Fracture(cell_faces=cfaces, centroids=cents,
-                                  measures=meas, normals=norms,
-                                  internal=internal, tips=tuple(tips)))
-
-    intersections = tuple(
-        Intersection(point=inter_sections[iid][0],
-                     incident=tuple(inter_sections[iid][1]))
-        for iid in sorted(inter_sections))
-
-    mesh = MixedDimMesh(
-        dim=dim, points=points, cell_vertices=cell_vertices,
-        cell_centroids=cell_centroids, cell_volumes=cell_volumes,
-        face_vertices=face_vertices, face_cells=face_cells,
-        face_areas=face_areas, face_normals=face_normals,
-        face_centroids=face_centroids, boundary_tags=boundary_tags,
-        fractures=tuple(frac_objs), intersections=intersections,
-        frac_faces=frac_faces)
-    report = validate_conformity(mesh)
-    if report:
-        raise MeshConformityError("; ".join(report))
-    return mesh
-
-
-def _cell_geometry(points, cell_vertices, dim):
-    nc = len(cell_vertices)
-    centroids = np.empty((nc, points.shape[1]))
-    volumes = np.empty(nc)
-    for c, verts in enumerate(cell_vertices):
-        pts = points[list(verts)]
-        if dim == 1:
-            volumes[c] = abs(pts[1, 0] - pts[0, 0])
-            centroids[c] = pts.mean(axis=0)
-        else:
-            x, y = pts[:, 0], pts[:, 1]
-            xs, ys = np.roll(x, -1), np.roll(y, -1)
-            cross = x * ys - xs * y
-            area = cross.sum() / 2.0
-            volumes[c] = abs(area)
-            if area == 0:
-                centroids[c] = pts.mean(axis=0)
-            else:
-                centroids[c] = (
-                    ((x + xs) * cross).sum() / (6.0 * area),
-                    ((y + ys) * cross).sum() / (6.0 * area))
-    return centroids, volumes
-
-
-def _face_geometry(points, face_vertices, face_cells, cell_centroids, dim):
-    nf = len(face_vertices)
-    areas = np.empty(nf)
-    normals = np.empty((nf, points.shape[1]))
-    for f, verts in enumerate(face_vertices):
-        if dim == 1:
-            areas[f] = 1.0
-            n = np.array([1.0])
-        else:
-            a, b = points[verts[0]], points[verts[1]]
-            t = b - a
-            areas[f] = np.linalg.norm(t)
-            n = np.array([t[1], -t[0]]) / areas[f]
-        c0 = face_cells[f, 0]
-        fc = points[list(verts)].mean(axis=0)
-        # orient from cells[0] towards the face (outward for boundary)
-        if np.dot(n, fc - cell_centroids[c0]) < 0:
-            n = -n
-        normals[f] = n
-    return areas, normals

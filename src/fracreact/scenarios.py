@@ -199,7 +199,7 @@ def splitting_problem_factory(da: float):
                        grid=TimeGrid(0.216, num_steps), params=params,
                        reaction=reaction, bc=bc,
                        eta=np.zeros(top_local.layout.ndof),
-                       solve_flow=False, solve_heat=False,
+                       solve_heat=False,
                        prescribed=prescribed)
 
     return factory
@@ -237,7 +237,7 @@ def _point_source_problem(da: float, *, u_in: float, w0: float,
     problem = Problem(top=top, state0=state, grid=grid, params=params,
                       reaction=reaction, bc=bc,
                       eta=np.zeros(top.layout.ndof),
-                      solve_flow=False, solve_heat=False,
+                      solve_heat=False,
                       prescribed=prescribed,
                       solute_source=source if u_in > 0 else None)
     return mesh, problem

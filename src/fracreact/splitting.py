@@ -42,9 +42,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.t_end / self.num_steps
 
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.num_steps + 1)
-
 
 @dataclass(frozen=True)
 class StepReport:
@@ -87,7 +84,6 @@ class Problem:
     reaction: ReactionParams
     bc: dict
     eta: np.ndarray
-    solve_flow: bool = True
     solve_heat: bool = True
     prescribed: tuple | None = None
     flow_source: object = None
@@ -165,7 +161,7 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
 
     # (3)-(4) permeabilities at the predicted fractions, then the flow
     # solve; the prediction error (pore* - pore^n)/dt acts as a source
-    if problem.solve_flow:
+    if problem.prescribed is None:
         try:
             p, conn_flux, bnd_flux = darcy_step(
                 problem.top, pore_star, state.pore, params, bc, dt, t_new,
@@ -173,8 +169,6 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
         except FracReactError as exc:
             raise _annotate(4, "flow", exc)
     else:
-        if problem.prescribed is None:
-            raise FracReactError("solve_flow=False requires prescribed fluxes")
         p = state.p
         conn_flux, bnd_flux = problem.prescribed
 

@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 
 from fracreact.constitutive import (EPS_MIN, PHI_MIN, PhysParams,
                                     clamp_pore_fraction, cubic_law,
-                                    damkohler_number, effective_conductivity,
+                                    effective_conductivity,
                                     effective_heat_capacity,
-                                    kozeny_permeability, reynolds_number,
-                                    update_pore_fraction)
+                                    kozeny_permeability, update_pore_fraction)
 from fracreact.errors import SingularUpdateError
 
 
@@ -115,18 +114,6 @@ class TestThermalProperties:
         p = PhysParams(lambdaw=2.0, lambdas=0.5)
         assert effective_conductivity(1.0, p) == pytest.approx(2.0)
         assert effective_conductivity(0.0, p) == pytest.approx(0.5)
-
-
-class TestDimensionlessGroups:
-    def test_reynolds(self):
-        assert reynolds_number(1.0, 0.5, 0.2, 0.02) == pytest.approx(5.0)
-
-    def test_damkohler(self):
-        assert damkohler_number(1.0, 1.0, 0.2, 0.2) == pytest.approx(1.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            damkohler_number(1.0, 0.0, 0.2, 0.2)
 
 
 class TestClamp:

@@ -1,12 +1,16 @@
 """Mesh construction: interval and structured 2D builders, fracture
-embedding, conformity validation and the text round-trip format."""
+embedding and conformity validation, also on random fracture networks."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fracreact.discretize import COUPLING, INTERSECT, build_topology
 from fracreact.errors import ConfigurationError
-from fracreact.mesh import (build_interval_mesh, build_structured_2d,
-                            load_mesh, save_mesh, validate_conformity)
+from fracreact.mesh import (Intersection, build_interval_mesh,
+                            build_structured_2d, validate_conformity)
 
 
 class TestIntervalMesh:
@@ -14,7 +18,7 @@ class TestIntervalMesh:
         mesh = build_interval_mesh(2.0, 4)
         assert mesh.dim == 1
         assert mesh.num_cells == 4
-        assert mesh.domain_measure == pytest.approx(2.0)
+        assert mesh.cell_volumes.sum() == pytest.approx(2.0)
         np.testing.assert_allclose(mesh.cell_volumes, 0.5)
         np.testing.assert_allclose(mesh.cell_centroids[:, 0],
                                    [0.25, 0.75, 1.25, 1.75])
@@ -42,7 +46,7 @@ class TestStructured2D:
     def test_cell_and_face_counts(self):
         mesh = build_structured_2d(4, 3)
         assert mesh.num_cells == 12
-        assert mesh.domain_measure == pytest.approx(1.0)
+        assert mesh.cell_volumes.sum() == pytest.approx(1.0)
         # nx*(ny+1) horizontal + (nx+1)*ny vertical faces
         assert mesh.num_faces == 4 * 4 + 5 * 3
 
@@ -56,7 +60,7 @@ class TestStructured2D:
 
     def test_custom_domain(self):
         mesh = build_structured_2d(2, 2, domain=(0.0, 2.0, -1.0, 1.0))
-        assert mesh.domain_measure == pytest.approx(4.0)
+        assert mesh.cell_volumes.sum() == pytest.approx(4.0)
         assert mesh.diameter == pytest.approx(np.hypot(2.0, 2.0))
 
     def test_invalid_domain(self):
@@ -112,48 +116,70 @@ class TestFractureEmbedding:
                                                (0.75, 0.5)]])
         assert mesh.fractures[0].num_cells == 2
 
-    def test_fracture_normals_unit_and_perpendicular(self):
-        mesh = build_structured_2d(4, 4, fractures=[[(0.5, 0.0), (0.5, 1.0)]])
-        normals = mesh.fractures[0].normals
-        np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0)
-        np.testing.assert_allclose(np.abs(normals[:, 0]), 1.0)
-
-
-class TestRoundTrip:
-    def _network_mesh(self):
-        return build_structured_2d(4, 4, fractures=[
+    def test_unreferenced_intersection_reported(self):
+        mesh = build_structured_2d(4, 4, fractures=[
             [(0.25, 0.5), (0.75, 0.5)], [(0.5, 0.25), (0.5, 0.75)]])
+        extra = Intersection(point=np.array([0.25, 0.25]))
+        bad = dataclasses.replace(
+            mesh, intersections=mesh.intersections + (extra,))
+        assert validate_conformity(bad) == [
+            "intersection 1 is not referenced by any fracture tip"]
 
-    def test_save_load_identity(self, tmp_path):
-        mesh = self._network_mesh()
-        path = tmp_path / "net.mesh"
-        save_mesh(mesh, path)
-        again = load_mesh(path)
-        assert again.dim == mesh.dim
-        assert again.num_cells == mesh.num_cells
-        np.testing.assert_array_equal(again.points, mesh.points)
-        np.testing.assert_array_equal(again.cell_centroids,
-                                      mesh.cell_centroids)
-        np.testing.assert_array_equal(again.face_areas, mesh.face_areas)
-        assert again.boundary_tags == mesh.boundary_tags
-        assert len(again.fractures) == len(mesh.fractures)
-        for fa, fb in zip(again.fractures, mesh.fractures):
-            np.testing.assert_array_equal(fa.cell_faces, fb.cell_faces)
-            np.testing.assert_array_equal(fa.centroids, fb.centroids)
-            assert [t.kind for t in fa.tips] == [t.kind for t in fb.tips]
-        assert len(again.intersections) == len(mesh.intersections)
-        assert validate_conformity(again) == []
 
-    def test_save_load_interval(self, tmp_path):
-        mesh = build_interval_mesh(1.5, 6)
-        path = tmp_path / "line.mesh"
-        save_mesh(mesh, path)
-        again = load_mesh(path)
-        np.testing.assert_array_equal(again.cell_volumes, mesh.cell_volumes)
-        assert again.boundary_tags == mesh.boundary_tags
+@st.composite
+def grid_networks(draw):
+    """A grid size and 1-4 polylines between nodes of the unit square.
 
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.mesh"
-        path.write_text("not a mesh\n")
-        with pytest.raises(ConfigurationError):
-            load_mesh(path)
+    Each polyline has 1-3 segments that alternate between the two axes.
+    The grid line a segment runs along is an interior one, so only a
+    polyline's two ends may touch the domain boundary.
+    """
+    nx = draw(st.integers(2, 8))
+    ny = draw(st.integers(2, 8))
+    polylines = []
+    for _ in range(draw(st.integers(1, 4))):
+        horizontal = draw(st.booleans())
+        nsegments = draw(st.integers(1, 3))
+        ix, iy = draw(st.integers(0, nx)), draw(st.integers(0, ny))
+        if horizontal:
+            iy = draw(st.integers(1, ny - 1))
+        else:
+            ix = draw(st.integers(1, nx - 1))
+        nodes = [(ix, iy)]
+        for k in range(nsegments):
+            n, cur = (nx, ix) if horizontal else (ny, iy)
+            inner = [j for j in range(1, n) if j != cur]
+            last = k == nsegments - 1 or not inner
+            choices = [j for j in range(n + 1) if j != cur] if last else inner
+            if horizontal:
+                ix = draw(st.sampled_from(choices))
+            else:
+                iy = draw(st.sampled_from(choices))
+            nodes.append((ix, iy))
+            if last:
+                break
+            horizontal = not horizontal
+        polylines.append([(jx / nx, jy / ny) for jx, jy in nodes])
+    return nx, ny, polylines
+
+
+class TestRandomNetworks:
+    @settings(max_examples=50, deadline=None)
+    @given(grid_networks())
+    def test_builder_conforms_or_rejects(self, network):
+        nx, ny, polylines = network
+        try:
+            mesh = build_structured_2d(nx, ny, fractures=polylines)
+        except ConfigurationError:
+            return
+        assert validate_conformity(mesh) == []
+        top = build_topology(mesh)
+        lay = top.layout
+
+        def degree(kind):
+            sel = top.kind == kind
+            ends = np.concatenate([top.ci[sel], top.cj[sel]])
+            return np.bincount(ends, minlength=lay.ndof)
+
+        assert np.all(degree(COUPLING)[lay.is_frac] == 2)
+        assert np.all(degree(INTERSECT)[lay.is_inter] >= 2)

@@ -24,7 +24,6 @@ class TestTimeGrid:
     def test_dt_and_times(self):
         grid = TimeGrid(1.0, 4)
         assert grid.dt == pytest.approx(0.25)
-        np.testing.assert_allclose(grid.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -184,8 +183,7 @@ class TestSplittingStudy:
     def test_monolithic_requires_prescribed_flux(self):
         factory = splitting_problem_factory(1.0)
         problem = factory(10)
-        problem = Problem(**{**problem.__dict__, "prescribed": None,
-                             "solve_flow": True})
+        problem = Problem(**{**problem.__dict__, "prescribed": None})
         with pytest.raises(FracReactError):
             monolithic_linear_run(problem)
 
