@@ -110,9 +110,8 @@ class Topology:
         return np.unique(np.asarray(self.b_tag, dtype=str), return_inverse=True)
 
 
-def build_topology(mesh: MixedDimMesh, layout: DofLayout | None = None) -> Topology:
-    if layout is None:
-        layout = build_layout(mesh)
+def build_topology(mesh: MixedDimMesh) -> Topology:
+    layout = build_layout(mesh)
     ci, cj, kind, area, di, dj, low, face_id = [], [], [], [], [], [], [], []
     b_dof, b_area, b_dist, b_tag, b_face = [], [], [], [], []
 

@@ -12,6 +12,9 @@ reference use it through the implicit Euler step ``transport_step``
 with scale dt. It returns the outward boundary fluxes consistent with
 the solve, which the mass audit uses.
 
+Boundary values and sources are constants for the whole run: a number
+per segment and equation, and an optional per-dof solute source array.
+
 Boundary conventions follow the flow problem: segments with an essential
 pressure condition also carry the essential temperature/solute data on
 inflow, while walls are no-flux throughout.
@@ -44,7 +47,7 @@ TRANSPORT_KINDS = (DIRICHLET, OUTFLOW, FLUX)
 class SegmentBC:
     """Boundary data of one named segment, one entry per equation.
 
-    Each entry is (kind, value); values may be callables of time.
+    Each entry is (kind, value) with a number fixed for the whole run.
     Flow kinds: ``pressure`` (essential) or ``flux`` (outward normal
     flux datum). Transport kinds (heat, solute): ``dirichlet``
     (essential value, also used for advective inflow), ``outflow``
@@ -81,11 +84,7 @@ class FieldState:
             bnd_flux=None if self.bnd_flux is None else self.bnd_flux.copy())
 
 
-def value_at(v, t: float) -> float:
-    return float(v(t)) if callable(v) else float(v)
-
-
-def _resolve_bc(top: Topology, bc: BoundarySpec, equation: str, t: float):
+def _resolve_bc(top: Topology, bc: BoundarySpec, equation: str):
     """Per-boundary-face (kind, value) arrays for one equation; each
     segment is looked up once."""
     accepted = FLOW_KINDS if equation == "flow" else TRANSPORT_KINDS
@@ -99,7 +98,7 @@ def _resolve_bc(top: Topology, bc: BoundarySpec, equation: str, t: float):
             raise WellPosednessError(
                 f"unknown {equation} boundary kind {kind!r} on segment {tag!r}")
         kinds.append(kind)
-        values.append(value_at(val, t))
+        values.append(float(val))
     return (np.array(kinds, dtype=str)[face_tag],
             np.array(values, dtype=float)[face_tag])
 
@@ -207,7 +206,7 @@ def _interface_resistance(eps, kappa, scale):
 
 
 def darcy_step(top: Topology, pore_star, pore_n, params: PhysParams,
-               bc: BoundarySpec, dt: float, t: float, source=None):
+               bc: BoundarySpec, dt: float):
     """Implicit Euler Darcy solve over all subdomains.
 
     The pore-fraction change acts as an additional source. Returns
@@ -218,15 +217,12 @@ def darcy_step(top: Topology, pore_star, pore_n, params: PhysParams,
     coef, resist = flow_coefficients(top, pore_star, params)
     t_conn = transmissibilities(top, coef, resist)
 
-    kinds, values = _resolve_bc(top, bc, "flow", t)
+    kinds, values = _resolve_bc(top, bc, "flow")
     if not np.any(kinds == PRESSURE):
         raise WellPosednessError(
             "flow problem needs at least one essential pressure segment")
 
     rhs = -(np.asarray(pore_star) - np.asarray(pore_n)) * lay.measure / dt
-    if source is not None:
-        rhs = rhs + np.asarray(source, dtype=float)
-
     p, bnd_flux = _tpfa_solve(top, t_conn, boundary_transmissibilities(top, coef),
                               kinds, values, rhs, 1.0)
     return p, t_conn * (p[top.ci] - p[top.cj]), bnd_flux
@@ -236,7 +232,7 @@ def darcy_step(top: Topology, pore_star, pore_n, params: PhysParams,
 # generic implicit upwind/TPFA transport
 
 
-def transport_step(top: Topology, coef, resist, acc_new, acc_old, x_old,
+def transport_step(top: Topology, t_conn, t_bnd, acc_new, acc_old, x_old,
                    conn_flux, bnd_flux, adv_scale, kinds, values, dt,
                    source=None):
     """One implicit Euler step of
@@ -244,17 +240,17 @@ def transport_step(top: Topology, coef, resist, acc_new, acc_old, x_old,
         acc_new*x - acc_old*x_old + dt*(div of advective+diffusive flux)
             = dt*source
 
-    with upstream advective face values and TPFA diffusion. Returns
-    (x_new, boundary total fluxes) where the boundary fluxes are the
-    outward advective+diffusive fluxes consistent with the solve, for
-    mass audits.
+    with upstream advective face values and TPFA diffusion through the
+    connection and boundary transmissibilities ``t_conn`` and ``t_bnd``.
+    Returns (x_new, boundary total fluxes) where the boundary fluxes are
+    the outward advective+diffusive fluxes consistent with the solve,
+    for mass audits.
     """
     rhs = np.asarray(acc_old, dtype=float) * np.asarray(x_old, dtype=float)
     if source is not None:
         rhs = rhs + dt * np.asarray(source, dtype=float)
     return _tpfa_solve(
-        top, transmissibilities(top, coef, resist),
-        boundary_transmissibilities(top, coef), kinds, values, rhs, dt,
+        top, t_conn, t_bnd, kinds, values, rhs, dt,
         diag=np.asarray(acc_new, dtype=float),
         flux=adv_scale * np.asarray(conn_flux, dtype=float),
         bnd_flux=adv_scale * np.asarray(bnd_flux, dtype=float))
@@ -266,7 +262,7 @@ def transport_step(top: Topology, coef, resist, acc_new, acc_old, x_old,
 
 def heat_step(top: Topology, state: FieldState, conn_flux, bnd_flux,
               pore_star, pore_n, params: PhysParams, bc: BoundarySpec,
-              dt: float, t: float, source=None):
+              dt: float):
     """Implicit Euler heat solve with effective properties evaluated at
     the extrapolated pore fractions."""
     lay = top.layout
@@ -286,10 +282,11 @@ def heat_step(top: Topology, state: FieldState, conn_flux, bnd_flux,
     acc_new[low] = params.rhow_cw * pore_star[low] * lay.measure[low]
     acc_old[low] = params.rhow_cw * pore_n[low] * lay.measure[low]
 
-    kinds, values = _resolve_bc(top, bc, "heat", t)
+    kinds, values = _resolve_bc(top, bc, "heat")
     return transport_step(
-        top, coef, resist, acc_new, acc_old, state.theta, conn_flux, bnd_flux,
-        params.rhow_cw, kinds, values, dt, source=source)
+        top, transmissibilities(top, coef, resist),
+        boundary_transmissibilities(top, coef), acc_new, acc_old, state.theta,
+        conn_flux, bnd_flux, params.rhow_cw, kinds, values, dt)
 
 
 def solute_coefficients(top: Topology, pore_star, params: PhysParams):
@@ -304,17 +301,18 @@ def solute_coefficients(top: Topology, pore_star, params: PhysParams):
 
 def solute_ad_step(top: Topology, state: FieldState, conn_flux, bnd_flux,
                    pore_star, pore_n, params: PhysParams, bc: BoundarySpec,
-                   dt: float, t: float, source=None):
+                   dt: float, source=None):
     """Implicit Euler advection-diffusion solve for the solute with the
     reaction term set to zero."""
     coef, resist = solute_coefficients(top, pore_star, params)
     acc_new = pore_star * top.layout.measure
     acc_old = pore_n * top.layout.measure
 
-    kinds, values = _resolve_bc(top, bc, "solute", t)
+    kinds, values = _resolve_bc(top, bc, "solute")
     return transport_step(
-        top, coef, resist, acc_new, acc_old, state.u, conn_flux, bnd_flux,
-        1.0, kinds, values, dt, source=source)
+        top, transmissibilities(top, coef, resist),
+        boundary_transmissibilities(top, coef), acc_new, acc_old, state.u,
+        conn_flux, bnd_flux, 1.0, kinds, values, dt, source=source)
 
 
 def _transport_resistances(top: Topology, pore_star, normal_coef):

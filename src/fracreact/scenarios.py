@@ -64,11 +64,8 @@ def make_state(top: Topology, params: PhysParams, *, p=0.0, theta=1.0,
     pore[lay.is_inter] = params.epsiota0 if iota_aperture is None else iota_aperture
     return FieldState(p=np.full(lay.ndof, float(p)),
                       theta=np.full(lay.ndof, float(theta)),
-                      u=np.full(lay.ndof, float(u)) if np.isscalar(u)
-                      else np.asarray(u, float).copy(),
-                      w=np.full(lay.ndof, float(w)) if np.isscalar(w)
-                      else np.asarray(w, float).copy(),
-                      pore=pore)
+                      u=np.full(lay.ndof, float(u)),
+                      w=np.full(lay.ndof, float(w)), pore=pore)
 
 
 def dof_centroids(mesh: MixedDimMesh, top: Topology) -> np.ndarray:

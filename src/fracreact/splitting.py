@@ -19,7 +19,8 @@ import numpy as np
 from . import constitutive as cl
 from .chemistry import ReactionParams, lambda_minus, react_cell
 from .constitutive import PhysParams
-from .discretize import Topology
+from .discretize import (Topology, boundary_transmissibilities,
+                         transmissibilities)
 from .errors import FracReactError
 from .physics import (FieldState, darcy_step, heat_step, solute_ad_step,
                       solute_coefficients, transport_step, _resolve_bc)
@@ -71,10 +72,11 @@ class StepReport:
 class Problem:
     """Everything advance_step needs besides the evolving state.
 
-    ``eta`` is the per-dof pore-change coefficient; ``prescribed``, when
-    set, is a (connection flux, boundary flux) pair that replaces the
-    Darcy solve. Sources are per-dof rates (already integrated over the
-    cell) or callables of time returning such arrays.
+    Every input is fixed for the whole run. ``eta`` is the per-dof
+    pore-change coefficient; ``prescribed``, when set, is a (connection
+    flux, boundary flux) pair that replaces the Darcy solve;
+    ``solute_source``, when set, is a per-dof solute rate (already
+    integrated over the cell).
     """
 
     top: Topology
@@ -86,9 +88,7 @@ class Problem:
     eta: np.ndarray
     solve_heat: bool = True
     prescribed: tuple | None = None
-    flow_source: object = None
-    heat_source: object = None
-    solute_source: object = None
+    solute_source: np.ndarray | None = None
     reaction_scheme: str = "explicit-euler"
 
 
@@ -125,12 +125,6 @@ def total_mass(layout, pore, conc) -> float:
     return float(np.sum(np.asarray(pore) * np.asarray(conc) * layout.measure))
 
 
-def _resolve_source(src, t):
-    if src is None:
-        return None
-    return src(t) if callable(src) else src
-
-
 def _annotate(step_no: int, name: str, exc: FracReactError):
     exc.args = (f"scheme step {step_no} ({name}): {exc.args[0] if exc.args else ''}",)
     return exc
@@ -164,8 +158,7 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
     if problem.prescribed is None:
         try:
             p, conn_flux, bnd_flux = darcy_step(
-                problem.top, pore_star, state.pore, params, bc, dt, t_new,
-                source=_resolve_source(problem.flow_source, t_new))
+                problem.top, pore_star, state.pore, params, bc, dt)
         except FracReactError as exc:
             raise _annotate(4, "flow", exc)
     else:
@@ -177,19 +170,18 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
         try:
             theta_new, _ = heat_step(
                 problem.top, state, conn_flux, bnd_flux, pore_star, state.pore,
-                params, bc, dt, t_new,
-                source=_resolve_source(problem.heat_source, t_new))
+                params, bc, dt)
         except FracReactError as exc:
             raise _annotate(5, "heat", exc)
     else:
         theta_new = state.theta
 
     # (6) solute advection-diffusion without reaction
-    sol_src = _resolve_source(problem.solute_source, t_new)
+    sol_src = problem.solute_source
     try:
         u_half, sol_bnd = solute_ad_step(
             problem.top, state, conn_flux, bnd_flux, pore_star, state.pore,
-            params, bc, dt, t_new, source=sol_src)
+            params, bc, dt, source=sol_src)
     except FracReactError as exc:
         raise _annotate(6, "solute", exc)
 
@@ -299,20 +291,21 @@ def monolithic_linear_run(problem: Problem) -> np.ndarray:
         np.asarray(lambda_minus(problem.state0.theta, rp)), u.shape)
 
     coef, resist = solute_coefficients(top, pore, params)
+    t_conn = transmissibilities(top, coef, resist)
+    t_bnd = boundary_transmissibilities(top, coef)
+    kinds, values = _resolve_bc(top, problem.bc, "solute")
     # the linear rate lam*(u/u_e - 1) splits into an accumulation and a
     # source term
     acc = pore * lay.measure
     acc_react = acc + dt * (acc * lam / rp.u_e)
-    react_source = acc * lam
+    source = acc * lam
+    if problem.solute_source is not None:
+        source = problem.solute_source + source
 
-    for n in range(1, problem.grid.num_steps + 1):
-        t_new = n * dt
-        kinds, values = _resolve_bc(top, problem.bc, "solute", t_new)
-        source = _resolve_source(problem.solute_source, t_new)
-        u, _ = transport_step(
-            top, coef, resist, acc_react, acc, u, conn_flux, bnd_flux, 1.0,
-            kinds, values, dt, source=react_source if source is None
-            else source + react_source)
+    for _ in range(problem.grid.num_steps):
+        u = transport_step(
+            top, t_conn, t_bnd, acc_react, acc, u, conn_flux, bnd_flux, 1.0,
+            kinds, values, dt, source=source)[0]
         w = w + dt * lam * (u / rp.u_e - 1.0)
         if np.any(w <= 0):
             raise FracReactError(

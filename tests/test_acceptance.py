@@ -241,7 +241,7 @@ def test_criterion_7_discrete_conservation_all_scenarios():
             state = problem.state0
             _, conn, bnd = darcy_step(top, state.pore, state.pore,
                                       problem.params, problem.bc,
-                                      problem.grid.dt, problem.grid.dt)
+                                      problem.grid.dt)
             div = assemble_mixed_divergence(top, conn, bnd)
             # solved flow: each cell balances exactly (zero rhs here)
             worst_cell = max(worst_cell, float(np.max(np.abs(div))))
@@ -267,13 +267,12 @@ def test_criterion_8_decoupling_limit():
     top_cut = build_topology(cut)
     state = make_state(top_cut, params, frac_aperture=EPS_MIN)
     p_cut, _, _ = darcy_step(top_cut, state.pore, state.pore, params, bc,
-                             dt=0.1, t=0.1)
+                             dt=0.1)
 
     plain = build_structured_2d(20, 20)
     top_plain = build_topology(plain)
     pore = np.full(top_plain.layout.ndof, params.phi0)
-    p_plain, _, _ = darcy_step(top_plain, pore, pore, params, bc, dt=0.1,
-                               t=0.1)
+    p_plain, _, _ = darcy_step(top_plain, pore, pore, params, bc, dt=0.1)
     diff = float(np.max(np.abs(p_cut[:plain.num_cells] - p_plain)))
     ok = diff <= 1e-8
     _verdict(8, ok, f"pressure deviation {diff:.2e} (<= 1e-8) with the "

@@ -158,8 +158,9 @@ def _advect(top, x_old, conn_flux, bnd_flux, kinds, values, dt=0.1):
     """One implicit pure-advection step with unit accumulation."""
     zero = np.zeros(top.layout.ndof)
     ones = np.ones(top.layout.ndof)
-    return transport_step(top, zero, np.zeros(top.n_conn), ones, ones, x_old,
-                          conn_flux, bnd_flux, 1.0, kinds, values, dt)
+    return transport_step(top, transmissibilities(top, zero),
+                          boundary_transmissibilities(top, zero), ones, ones,
+                          x_old, conn_flux, bnd_flux, 1.0, kinds, values, dt)
 
 
 class TestUpwind:

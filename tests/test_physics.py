@@ -14,7 +14,7 @@ from fracreact.mesh import build_interval_mesh, build_structured_2d
 from fracreact.physics import (DIRICHLET, FLUX, OUTFLOW, PRESSURE, SegmentBC,
                                _resolve_bc, darcy_step, flow_coefficients,
                                heat_step, solute_ad_step, solute_coefficients,
-                               transport_step, value_at)
+                               transport_step)
 from fracreact.scenarios import make_state
 
 
@@ -39,7 +39,7 @@ class TestDarcy:
         params = PhysParams()
         pore = np.full(top.layout.ndof, params.phi0)
         p, conn, bnd = darcy_step(top, pore, pore, params, _interval_bc(),
-                                  dt=0.1, t=0.1)
+                                  dt=0.1)
         x = mesh.cell_centroids[:, 0]
         np.testing.assert_allclose(p, 1.0 - x, rtol=1e-10)
         # permeability at reference porosity is k0 = 1, so |q| = dp/dx = 1
@@ -53,7 +53,7 @@ class TestDarcy:
         params = PhysParams()
         pore = np.full(top.layout.ndof, params.phi0)
         _, conn, bnd = darcy_step(top, pore, pore, params, _interval_bc(),
-                                  dt=0.1, t=0.1)
+                                  dt=0.1)
         div = assemble_mixed_divergence(top, conn, bnd)
         np.testing.assert_allclose(div, 0.0, atol=1e-12)
 
@@ -65,7 +65,7 @@ class TestDarcy:
         pore_star[5] += 0.01     # growing pores withdraw fluid
         dt = 0.1
         _, conn, bnd = darcy_step(top, pore_star, pore_n, params,
-                                  _interval_bc(), dt=dt, t=dt)
+                                  _interval_bc(), dt=dt)
         div = assemble_mixed_divergence(top, conn, bnd)
         expect = -(pore_star - pore_n) * top.layout.measure / dt
         np.testing.assert_allclose(div, expect, atol=1e-12)
@@ -78,7 +78,7 @@ class TestDarcy:
             "left": SegmentBC(flow=(FLUX, -2.0)),    # inflow of 2 (outward -2)
             "right": SegmentBC(flow=(PRESSURE, 0.0)),
         }
-        _, conn, bnd = darcy_step(top, pore, pore, params, bc, dt=0.1, t=0.1)
+        _, conn, bnd = darcy_step(top, pore, pore, params, bc, dt=0.1)
         assert np.sum(bnd) == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(conn, 2.0, rtol=1e-10)
 
@@ -89,7 +89,7 @@ class TestDarcy:
         bc = {"left": SegmentBC(flow=(FLUX, 1.0)),
               "right": SegmentBC(flow=(FLUX, -1.0))}
         with pytest.raises(WellPosednessError):
-            darcy_step(top, pore, pore, params, bc, dt=0.1, t=0.1)
+            darcy_step(top, pore, pore, params, bc, dt=0.1)
 
     def test_missing_boundary_tag(self, line):
         _, top = line
@@ -97,8 +97,7 @@ class TestDarcy:
         pore = np.full(top.layout.ndof, params.phi0)
         with pytest.raises(WellPosednessError):
             darcy_step(top, pore, pore, params,
-                       {"left": SegmentBC(flow=(PRESSURE, 1.0))}, dt=0.1,
-                       t=0.1)
+                       {"left": SegmentBC(flow=(PRESSURE, 1.0))}, dt=0.1)
 
     def test_rejects_transport_kind(self, line):
         _, top = line
@@ -107,20 +106,7 @@ class TestDarcy:
         bc = _interval_bc()
         bc["right"] = SegmentBC(flow=(DIRICHLET, 0.0))
         with pytest.raises(WellPosednessError, match="dirichlet"):
-            darcy_step(top, pore, pore, params, bc, dt=0.1, t=0.1)
-
-    def test_time_dependent_boundary_value(self, line):
-        _, top = line
-        params = PhysParams()
-        pore = np.full(top.layout.ndof, params.phi0)
-        bc = {
-            "left": SegmentBC(flow=(PRESSURE, lambda t: 2.0 * t)),
-            "right": SegmentBC(flow=(PRESSURE, 0.0)),
-        }
-        p1, _, _ = darcy_step(top, pore, pore, params, bc, dt=0.1, t=0.5)
-        p2, _, _ = darcy_step(top, pore, pore, params,
-                              _interval_bc(p_left=1.0), dt=0.1, t=0.5)
-        np.testing.assert_allclose(p1, p2, rtol=1e-12)
+            darcy_step(top, pore, pore, params, bc, dt=0.1)
 
     def test_conductive_fracture_increases_throughflow(self):
         params = PhysParams()
@@ -134,7 +120,7 @@ class TestDarcy:
             top = build_topology(mesh)
             state = make_state(top, params)
             _, _, bnd = darcy_step(top, state.pore, state.pore, params, bc,
-                                   dt=0.1, t=0.1)
+                                   dt=0.1)
             return -np.sum(np.minimum(bnd, 0.0))
 
         plain = total_inflow(build_structured_2d(10, 10))
@@ -165,7 +151,7 @@ class TestFlowCoefficients:
 class TestTransport:
     def _flow(self, top, params, bc):
         pore = np.full(top.layout.ndof, params.phi0)
-        _, conn, bnd = darcy_step(top, pore, pore, params, bc, dt=0.1, t=0.1)
+        _, conn, bnd = darcy_step(top, pore, pore, params, bc, dt=0.1)
         return pore, conn, bnd
 
     def test_uniform_temperature_is_steady(self, line):
@@ -175,7 +161,7 @@ class TestTransport:
         pore, conn, bnd = self._flow(top, params, bc)
         state = make_state(top, params, theta=1.0)
         theta, _ = heat_step(top, state, conn, bnd, pore, pore, params, bc,
-                             dt=0.1, t=0.1)
+                             dt=0.1)
         np.testing.assert_allclose(theta, 1.0, rtol=1e-12)
 
     def test_heat_maximum_principle(self, line):
@@ -189,7 +175,7 @@ class TestTransport:
         state = make_state(top, params, theta=1.0)
         for _ in range(5):
             theta, _ = heat_step(top, state, conn, bnd, pore, pore, params,
-                                 bc, dt=0.05, t=0.05)
+                                 bc, dt=0.05)
             state = state.copy()
             state.theta[:] = theta
         assert np.all(theta >= 1.0 - 1e-12)
@@ -207,7 +193,7 @@ class TestTransport:
         state.u[:] = rng.uniform(0.0, 1.0, top.layout.ndof)
         dt = 0.02
         u, bnd_total = solute_ad_step(top, state, conn, bnd, pore, pore,
-                                      params, bc, dt=dt, t=dt)
+                                      params, bc, dt=dt)
         lay = top.layout
         m_old = float(np.sum(pore * state.u * lay.measure))
         m_new = float(np.sum(pore * u * lay.measure))
@@ -225,7 +211,7 @@ class TestTransport:
         zero_conn = np.zeros(top.n_conn)
         zero_bnd = np.zeros(len(top.b_dof))
         u, bnd_total = solute_ad_step(top, state, zero_conn, zero_bnd, pore,
-                                      pore, params, bc, dt=0.1, t=0.1)
+                                      pore, params, bc, dt=0.1)
         lay = top.layout
         assert np.sum(pore * u * lay.measure) == pytest.approx(
             np.sum(pore * state.u * lay.measure), rel=1e-13)
@@ -242,7 +228,7 @@ class TestTransport:
         state = make_state(top, params)
         with pytest.raises(WellPosednessError, match="pressure"):
             solute_ad_step(top, state, conn, bnd, pore, pore, params, bc,
-                           dt=0.1, t=0.1)
+                           dt=0.1)
 
     def test_dirichlet_inflow_raises_concentration(self, line):
         _, top = line
@@ -251,7 +237,7 @@ class TestTransport:
         pore, conn, bnd = self._flow(top, params, bc)
         state = make_state(top, params, u=0.0)
         u, bnd_total = solute_ad_step(top, state, conn, bnd, pore, pore,
-                                      params, bc, dt=0.05, t=0.05)
+                                      params, bc, dt=0.05)
         assert u[0] > 0.1
         assert np.all(u <= 2.0 + 1e-12)
         # net boundary total is an influx (negative outward sum)
@@ -262,26 +248,24 @@ class TestTransport:
 # reference: the per-boundary-face assembly the shared TPFA path replaced
 
 
-def _reference_bc(top, bc, equation, t):
+def _reference_bc(top, bc, equation):
     kinds = []
     values = np.empty(len(top.b_dof))
     for i, tag in enumerate(top.b_tag):
         kind, val = getattr(bc[tag], equation)
         kinds.append(kind)
-        values[i] = value_at(val, t)
+        values[i] = val
     return kinds, values
 
 
-def _reference_darcy(top, pore_star, pore_n, params, bc, dt, t, source=None):
+def _reference_darcy(top, pore_star, pore_n, params, bc, dt):
     lay = top.layout
     coef, resist = flow_coefficients(top, pore_star, params)
     t_conn = transmissibilities(top, coef, resist)
     t_bnd = boundary_transmissibilities(top, coef)
-    kinds, values = _reference_bc(top, bc, "flow", t)
+    kinds, values = _reference_bc(top, bc, "flow")
 
     rhs = -(np.asarray(pore_star) - np.asarray(pore_n)) * lay.measure / dt
-    if source is not None:
-        rhs = rhs + np.asarray(source, dtype=float)
     rows = [top.ci, top.ci, top.cj, top.cj]
     cols = [top.ci, top.cj, top.cj, top.ci]
     vals = [t_conn, -t_conn, t_conn, -t_conn]
@@ -373,7 +357,6 @@ class TestSharedAssembly:
     to the bit, on a grid whose four corner cells each carry two
     boundary faces of different kinds."""
 
-    T = 0.3
     DT = 0.05
 
     # (left pressure, top pressure, right flux): the left faces flow out
@@ -391,7 +374,7 @@ class TestSharedAssembly:
             "bottom": SegmentBC(flow=(PRESSURE, 1.0), heat=(DIRICHLET, 1.5),
                                 solute=(DIRICHLET, 2.0)),
             "left": SegmentBC(flow=(PRESSURE, p_left), heat=(DIRICHLET, 1.0),
-                              solute=(DIRICHLET, lambda t: 1.0 + t)),
+                              solute=(DIRICHLET, 1.3)),
             "top": SegmentBC(flow=(PRESSURE, p_top), heat=(OUTFLOW, 0.7),
                              solute=(OUTFLOW, 0.3)),
             "right": SegmentBC(flow=(FLUX, q_right), heat=(FLUX, 0.1),
@@ -408,7 +391,7 @@ class TestSharedAssembly:
         top, params, bc, state, pore_star, _ = case
         tags = np.asarray(top.b_tag)
         _, _, bnd = darcy_step(top, pore_star, state.pore, params, bc,
-                               self.DT, self.T)
+                               self.DT)
         for tag in ("bottom", "top"):       # inflow and outflow faces
             assert np.any(bnd[tags == tag] < 0) and np.any(bnd[tags == tag] > 0)
         assert np.any((top.b_face_id < 0) & (tags == "bottom"))   # tip
@@ -417,25 +400,25 @@ class TestSharedAssembly:
 
     def test_darcy_matches_reference(self, case):
         top, params, bc, state, pore_star, source = case
-        got = darcy_step(top, pore_star, state.pore, params, bc, self.DT,
-                         self.T, source=source)
+        got = darcy_step(top, pore_star, state.pore, params, bc, self.DT)
         want = _reference_darcy(top, pore_star, state.pore, params, bc,
-                                self.DT, self.T, source=source)
+                                self.DT)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
     def test_transport_matches_reference(self, case):
         top, params, bc, state, pore_star, source = case
         _, conn, bnd = darcy_step(top, pore_star, state.pore, params, bc,
-                                  self.DT, self.T)
+                                  self.DT)
         coef, resist = solute_coefficients(top, pore_star, params)
         acc_new = pore_star * top.layout.measure
         acc_old = state.pore * top.layout.measure
-        kinds, values = _resolve_bc(top, bc, "solute", self.T)
-        ref_kinds, ref_values = _reference_bc(top, bc, "solute", self.T)
-        got = transport_step(top, coef, resist, acc_new, acc_old, state.u,
-                             conn, bnd, 1.7, kinds, values, self.DT,
-                             source=source)
+        kinds, values = _resolve_bc(top, bc, "solute")
+        ref_kinds, ref_values = _reference_bc(top, bc, "solute")
+        got = transport_step(top, transmissibilities(top, coef, resist),
+                             boundary_transmissibilities(top, coef), acc_new,
+                             acc_old, state.u, conn, bnd, 1.7, kinds, values,
+                             self.DT, source=source)
         want = _reference_transport(top, coef, resist, acc_new, acc_old,
                                     state.u, conn, bnd, 1.7, ref_kinds,
                                     ref_values, self.DT, source=source)
@@ -447,13 +430,14 @@ class TestSharedAssembly:
         # the accumulation and the source
         top, params, bc, state, pore_star, _ = case
         _, conn, bnd = darcy_step(top, pore_star, state.pore, params, bc,
-                                  self.DT, self.T)
+                                  self.DT)
         coef, resist = solute_coefficients(top, state.pore, params)
         acc = state.pore * top.layout.measure
         lam, u_e = 0.8, 1.3
-        kinds, values = _resolve_bc(top, bc, "solute", self.T)
-        ref_kinds, ref_values = _reference_bc(top, bc, "solute", self.T)
-        got = transport_step(top, coef, resist,
+        kinds, values = _resolve_bc(top, bc, "solute")
+        ref_kinds, ref_values = _reference_bc(top, bc, "solute")
+        got = transport_step(top, transmissibilities(top, coef, resist),
+                             boundary_transmissibilities(top, coef),
                              acc + self.DT * (acc * lam / u_e), acc, state.u,
                              conn, bnd, 1.0, kinds, values, self.DT,
                              source=acc * lam)

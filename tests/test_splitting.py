@@ -98,10 +98,10 @@ class TestAdvanceStep:
         assert report.event_count == 0
         # the solute equals a direct advection-diffusion solve bit-for-bit
         p, conn, bnd = darcy_step(problem.top, state0.pore, state0.pore,
-                                  problem.params, problem.bc, dt, dt)
+                                  problem.params, problem.bc, dt)
         u_direct, _ = solute_ad_step(problem.top, state0, conn, bnd,
                                      state0.pore, state0.pore,
-                                     problem.params, problem.bc, dt, dt)
+                                     problem.params, problem.bc, dt)
         assert np.array_equal(new.u, u_direct)
         assert np.array_equal(new.p, p)
 
