@@ -11,6 +11,7 @@ Verbs::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -65,13 +66,18 @@ def _override_grid(scenario, dt, nt):
     grid = scenario.problem.grid
     if dt is None and nt is None:
         return scenario
-    if dt is not None and nt is not None:
-        grid = TimeGrid(dt * nt, nt)
-    elif nt is not None:
-        grid = TimeGrid(grid.t_end, nt)
-    else:
-        steps = max(1, round(grid.t_end / dt))
-        grid = TimeGrid(grid.t_end, steps)
+    if dt is not None and not 0 < dt < math.inf:
+        raise FracReactError(f"--dt must be positive and finite, got {dt}")
+    try:
+        if dt is not None and nt is not None:
+            grid = TimeGrid(dt * nt, nt)
+        elif nt is not None:
+            grid = TimeGrid(grid.t_end, nt)
+        else:
+            steps = max(1, round(grid.t_end / dt))
+            grid = TimeGrid(grid.t_end, steps)
+    except ValueError as exc:
+        raise FracReactError(f"time-grid override: {exc}") from exc
     return scenario.with_grid(grid)
 
 

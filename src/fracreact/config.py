@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
+import re
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .constitutive import PhysParams
 from .discretize import build_topology
 from .errors import ConfigurationError
 from .mesh import build_interval_mesh, build_structured_2d
-from .physics import FLOW_KINDS, TRANSPORT_KINDS, SegmentBC
+from .physics import DIRICHLET, FLOW_KINDS, TRANSPORT_KINDS, SegmentBC
 from .scenarios import (Scenario, dof_centroids, make_eta, make_state,
                         _region_mask)
 from .splitting import Problem, TimeGrid
@@ -55,6 +57,10 @@ _INITIAL_KEYS = {"p", "theta", "u", "w", "fracture_aperture",
 _TIME_KEYS = {"t_end", "num_steps"}
 _OUTPUT_KEYS = {"name", "every", "unitless"}
 _BC_KEYS = {"flow", "heat", "solute"}
+# initial values that must be positive; all others but ``p`` must not be
+# negative
+_POSITIVE_INITIAL = {"theta", "fracture_aperture", "intersection_aperture"}
+_HEADER = re.compile(r"\s*\[([^\]]+)\]")
 
 
 class _Source:
@@ -65,23 +71,45 @@ class _Source:
         with open(path, encoding="utf-8") as fh:
             self.lines = fh.read().splitlines()
 
-    def line_of(self, needle: str) -> int | None:
+    def line_of(self, keypath: str) -> int | None:
+        """Line of the section header ``keypath`` names, else of the line
+        that sets its last component inside its section, else of that
+        section's header."""
+        section, _, key = keypath.rpartition(".")
+        key_line = re.compile(rf"\s*{re.escape(key)}\s*[=:]", re.IGNORECASE)
+        current = header = None
         for i, line in enumerate(self.lines, start=1):
-            if needle in line:
+            m = _HEADER.match(line)
+            if m:
+                current = m.group(1).strip()
+                if current == keypath:
+                    return i
+                if current == section:
+                    header = i
+            elif current == section and key_line.match(line):
                 return i
-        return None
+        return header
 
-    def error(self, keypath: str, message: str, needle: str | None = None):
-        loc = self.line_of(needle if needle is not None else keypath.split(".")[-1])
+    def error(self, keypath: str, message: str):
+        loc = self.line_of(keypath)
         where = f"{self.path}:{loc}" if loc else self.path
         raise ConfigurationError(f"{where}: {keypath}: {message}")
+
+    def require_sign(self, keypath: str, value: float, positive: bool):
+        """Reject a negative value, and zero too if ``positive``."""
+        if value < 0 or (positive and value == 0):
+            sign = "positive" if positive else "non-negative"
+            self.error(keypath, f"must be {sign}, got {value}")
 
 
 def _get_float(src: _Source, section, key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         src.error(f"{section}.{key}", f"expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        src.error(f"{section}.{key}", f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _get_int(src: _Source, section, key, raw):
@@ -103,7 +131,7 @@ def _get_bool(src: _Source, section, key, raw):
 def _check_keys(src: _Source, cp, section, allowed):
     for key in cp[section]:
         if key not in allowed:
-            src.error(f"{section}.{key}", "unknown key", needle=key)
+            src.error(f"{section}.{key}", "unknown key")
 
 
 def _parse_bc_entry(src: _Source, section, key, raw, kinds):
@@ -151,7 +179,7 @@ def parse_config(path) -> Scenario:
             continue
         if section.startswith("fracture.") or section.startswith("bc."):
             continue
-        src.error(section, "unknown section", needle=f"[{section}]")
+        src.error(section, "unknown section")
 
     # --- domain ------------------------------------------------------------
     if "domain" not in cp:
@@ -223,6 +251,9 @@ def parse_config(path) -> Scenario:
         for key, raw in cp[section].items():
             kinds = FLOW_KINDS if key == "flow" else TRANSPORT_KINDS
             entries[key] = _parse_bc_entry(src, section, key, raw, kinds)
+            if key != "flow" and entries[key][0] == DIRICHLET:
+                src.require_sign(f"{section}.{key}", entries[key][1],
+                                 positive=key == "heat")
         bc[tag] = SegmentBC(**entries)
     present_tags = set(bc)
     needed_tags = set(mesh.boundary_tags.values())
@@ -259,7 +290,11 @@ def parse_config(path) -> Scenario:
         _check_keys(src, cp, "initial", _INITIAL_KEYS)
 
     def init_float(key, default):
-        return _get_float(src, "initial", key, init.get(key, str(default)))
+        value = _get_float(src, "initial", key, init.get(key, str(default)))
+        if key != "p":
+            src.require_sign(f"initial.{key}", value,
+                             positive=key in _POSITIVE_INITIAL)
+        return value
 
     state = make_state(
         top, params, p=init_float("p", 0.0), theta=init_float("theta", 1.0),
@@ -274,6 +309,7 @@ def parse_config(path) -> Scenario:
     for key, target in (("u_region", state.u), ("w_region", state.w)):
         if key in init:
             lo, hi, value = _parse_region(src, "initial", key, init[key], dim)
+            src.require_sign(f"initial.{key}", value, positive=False)
             target[_region_mask(coords, lo, hi)] = value
 
     # --- output -------------------------------------------------------------
@@ -306,7 +342,7 @@ def _parse_fractures(src: _Source, cp) -> list[list[tuple[float, float]]]:
             index = int(suffix)
         except ValueError:
             src.error(section, "fracture sections must be numbered "
-                      "[fracture.0], [fracture.1], ...", needle=f"[{section}]")
+                      "[fracture.0], [fracture.1], ...")
         _check_keys(src, cp, section, {"points"})
         if "points" not in cp[section]:
             src.error(f"{section}.points", "required")

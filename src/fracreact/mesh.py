@@ -21,6 +21,7 @@ threads; construction is single-threaded.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,8 +143,9 @@ def build_structured_2d(nx: int, ny: int,
     ``domain`` is (xmin, xmax, ymin, ymax). Every polyline segment must
     run along a grid line after snapping its endpoints to the nearest
     grid node (tolerance SNAP_REL_TOL times the domain diameter).
-    Polylines are split into arms at shared nodes, which become
-    0-dimensional intersection objects.
+    Polylines are split into arms at every node they pass more than
+    once, together or each on its own (a self-crossing polyline); such
+    nodes become 0-dimensional intersection objects.
     """
     if nx < 1 or ny < 1:
         raise ConfigurationError(f"grid must have at least one cell per axis, got {nx}x{ny}")
@@ -287,12 +289,10 @@ def build_structured_2d(nx: int, ny: int,
             prev = cur
         paths.append((nodes_path, edges_path))
 
-    # Nodes shared by two or more polylines become intersections.
-    visits: dict[tuple[int, int], set[int]] = {}
-    for pid, (nodes_path, _) in enumerate(paths):
-        for nd in nodes_path:
-            visits.setdefault(nd, set()).add(pid)
-    crossing_nodes = {nd for nd, who in visits.items() if len(who) >= 2}
+    # Nodes passed two or more times, by one polyline or by several,
+    # become intersections.
+    visits = Counter(nd for nodes_path, _ in paths for nd in nodes_path)
+    crossing_nodes = {nd for nd, passes in visits.items() if passes >= 2}
 
     # Split polylines into arms at crossing nodes.
     claimed: dict[int, int] = {}

@@ -34,10 +34,12 @@ class TimeGrid:
     num_steps: int
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError(
+                f"t_end must be positive and finite, got {self.t_end}")
+        if not 1 <= self.num_steps < np.inf:
+            raise ValueError(
+                f"num_steps must be >= 1 and finite, got {self.num_steps}")
 
     @property
     def dt(self) -> float:

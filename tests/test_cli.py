@@ -1,6 +1,7 @@
 """Configuration files, scenario registry and the command-line verbs."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,45 @@ class TestParseConfig:
         text = MINIMAL + "\n[params]\nviscosity = 2.0\n"
         with pytest.raises(ConfigurationError,
                            match=r"params\.viscosity: unknown key"):
+            parse_config(_write(tmp_path, text))
+
+    def test_error_names_the_line_in_its_section(self, tmp_path):
+        # "p" also occurs in the header comment and in other sections
+        with open(os.path.join(CONFIGS, "test1d_pulse.ini")) as fh:
+            lines = fh.read().splitlines()
+        at = lines.index("[initial]") + 1
+        lines.insert(at, "p = abc")
+        path = _write(tmp_path, "\n".join(lines) + "\n", name="a.ini")
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"a.ini:{at + 1}: initial.p: ")):
+            parse_config(path)
+
+    @pytest.mark.parametrize("old, new, keypath", [
+        ("", "[params]\neta_omega = nan", "params.eta_omega"),
+        ("", "[chemistry]\nlambda0 = inf", "chemistry.lambda0"),
+        ("t_end = 0.1", "t_end = inf", "time.t_end"),
+        ("", "[initial]\ntheta = 0.0", "initial.theta"),
+        ("", "[initial]\nu = -1.0", "initial.u"),
+        ("", "[initial]\nw = -0.5", "initial.w"),
+        ("", "[initial]\nfracture_w = -1.0", "initial.fracture_w"),
+        ("", "[initial]\nintersection_w = -1.0", "initial.intersection_w"),
+        ("", "[initial]\nu_region = 0.0 0.5 -2.0", "initial.u_region"),
+        ("", "[initial]\nw_region = 0.0 0.5 -2.0", "initial.w_region"),
+        ("", "[initial]\nfracture_aperture = 0.0",
+         "initial.fracture_aperture"),
+        ("", "[initial]\nintersection_aperture = -1e-3",
+         "initial.intersection_aperture"),
+        ("heat = dirichlet 1.0", "heat = dirichlet -1.0", "bc.left.heat"),
+        ("solute = dirichlet 0.0", "solute = dirichlet -0.5",
+         "bc.left.solute"),
+    ])
+    def test_out_of_range_value_rejected(self, tmp_path, old, new, keypath):
+        # an empty ``old`` appends ``new`` as a section of its own
+        if old:
+            text = MINIMAL.replace(old, new, 1)
+        else:
+            text = MINIMAL + "\n" + new + "\n"
+        with pytest.raises(ConfigurationError, match=re.escape(keypath + ":")):
             parse_config(_write(tmp_path, text))
 
     def test_unknown_section(self, tmp_path):
@@ -191,6 +231,15 @@ class TestCli:
         path = _write(tmp_path, MINIMAL + "\n[params]\nphi0 = 1.5\n")
         assert main(["validate", path]) == 1
         assert "params.phi0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-1"],
+                                       ["--nt", "0"]])
+    def test_bad_grid_override_fails_cleanly(self, tmp_path, capsys, flags):
+        out_dir = str(tmp_path / "out")
+        assert main(["run", "test1d_pulse", *flags, "--out", out_dir]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(
+            os.path.join(out_dir, "test1d_pulse_balance.csv"))
 
     def test_run_builtin_with_overrides(self, tmp_path, capsys):
         out_dir = str(tmp_path / "out")

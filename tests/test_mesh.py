@@ -2,6 +2,7 @@
 embedding and conformity validation, also on random fracture networks."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from fracreact.discretize import COUPLING, INTERSECT, build_topology
 from fracreact.errors import ConfigurationError
-from fracreact.mesh import (Intersection, build_interval_mesh,
-                            build_structured_2d, validate_conformity)
+from fracreact.mesh import (TIP_INTERSECTION, Intersection,
+                            build_interval_mesh, build_structured_2d,
+                            validate_conformity)
 
 
 class TestIntervalMesh:
@@ -101,6 +103,19 @@ class TestFractureEmbedding:
         assert kinds.count("immersed") == 4
         assert validate_conformity(mesh) == []
 
+    def test_self_crossing_polyline_gets_intersection(self):
+        # one polyline whose last segment crosses its first one
+        mesh = build_structured_2d(4, 4, fractures=[[
+            (0.25, 0.5), (0.75, 0.5), (0.75, 0.75), (0.5, 0.75), (0.5, 0.25)]])
+        assert len(mesh.intersections) == 1
+        np.testing.assert_allclose(mesh.intersections[0].point, [0.5, 0.5])
+        tips = [tip for f in mesh.fractures for tip in f.tips
+                if tip.kind == TIP_INTERSECTION and tip.intersection == 0]
+        assert len(tips) == 4
+        assert validate_conformity(mesh) == []
+        top = build_topology(mesh)
+        assert np.count_nonzero(top.kind == INTERSECT) == 4
+
     def test_diagonal_segment_rejected(self):
         with pytest.raises(ConfigurationError):
             build_structured_2d(4, 4, fractures=[[(0.0, 0.0), (1.0, 1.0)]])
@@ -130,16 +145,17 @@ class TestFractureEmbedding:
 def grid_networks(draw):
     """A grid size and 1-4 polylines between nodes of the unit square.
 
-    Each polyline has 1-3 segments that alternate between the two axes.
-    The grid line a segment runs along is an interior one, so only a
-    polyline's two ends may touch the domain boundary.
+    Each polyline has 1-5 segments that alternate between the two axes,
+    so a polyline may cross itself. The grid line a segment runs along
+    is an interior one, so only a polyline's two ends may touch the
+    domain boundary.
     """
     nx = draw(st.integers(2, 8))
     ny = draw(st.integers(2, 8))
     polylines = []
     for _ in range(draw(st.integers(1, 4))):
         horizontal = draw(st.booleans())
-        nsegments = draw(st.integers(1, 3))
+        nsegments = draw(st.integers(1, 5))
         ix, iy = draw(st.integers(0, nx)), draw(st.integers(0, ny))
         if horizontal:
             iy = draw(st.integers(1, ny - 1))
@@ -164,7 +180,7 @@ def grid_networks(draw):
 
 
 class TestRandomNetworks:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(grid_networks())
     def test_builder_conforms_or_rejects(self, network):
         nx, ny, polylines = network
@@ -183,3 +199,12 @@ class TestRandomNetworks:
 
         assert np.all(degree(COUPLING)[lay.is_frac] == 2)
         assert np.all(degree(INTERSECT)[lay.is_inter] >= 2)
+
+        # every node where three or more fracture edges meet is an
+        # intersection
+        edges_at = Counter(v for frac in mesh.fractures
+                           for f in frac.cell_faces
+                           for v in mesh.face_vertices[f])
+        inter = {tuple(i.point) for i in mesh.intersections}
+        assert all(tuple(mesh.points[v]) in inter
+                   for v, n in edges_at.items() if n >= 3)
