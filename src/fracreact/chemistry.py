@@ -21,7 +21,7 @@ mapping over cells is embarrassingly parallel.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,9 @@ class ReactionParams:
     rate_power: float = 2.0
 
     def __post_init__(self):
-        for f, value in zip(fields(self), astuple(self)):
+        for name, value in vars(self).items():
             if not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lambda0 < 0:
             raise ValueError(f"lambda0 must be non-negative, got {self.lambda0}")
         if not self.u_e > 0:

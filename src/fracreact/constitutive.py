@@ -9,7 +9,7 @@ All other functions accept scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +51,9 @@ class PhysParams:
     deltagamma: float = 1e-1     # m^2/s, fracture normal diffusivity
 
     def __post_init__(self):
-        for f, value in zip(fields(self), astuple(self)):
+        for name, value in vars(self).items():
             if not np.isfinite(value):
-                raise ValueError(f"params.{f.name} must be finite, got {value}")
+                raise ValueError(f"params.{name} must be finite, got {value}")
         positive = {
             "mu": self.mu, "k0": self.k0, "phi0": self.phi0,
             "kgamma0": self.kgamma0, "kappagamma0": self.kappagamma0,

@@ -36,6 +36,12 @@ class TestRateLaw:
     def test_saturation_ratio_quadratic(self):
         assert saturation_ratio(2.0, RP) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, bad):
+        for name in vars(ReactionParams()):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ReactionParams(**{name: bad})
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             ReactionParams(lambda0=-1.0)

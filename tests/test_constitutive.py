@@ -37,6 +37,12 @@ class TestPhysParams:
         with pytest.raises(ValueError, match="params.eta_gamma"):
             PhysParams(eta_gamma=-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        for name in vars(PhysParams()):
+            with pytest.raises(ValueError, match=f"params.{name} must be finite"):
+                PhysParams(**{name: bad})
+
     def test_zero_deposition_coefficient_allowed(self):
         assert PhysParams(eta_omega=0.0).eta_omega == 0.0
 

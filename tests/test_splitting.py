@@ -31,6 +31,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
 
+    @pytest.mark.parametrize("t_end, num_steps", [
+        (np.nan, 4), (np.inf, 4), (1.0, np.inf), (1.0, np.nan)])
+    def test_non_finite_rejected(self, t_end, num_steps):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(t_end, num_steps)
+
 
 class TestStepReport:
     def test_nonfinite_rejected(self):
