@@ -21,6 +21,7 @@ mapping over cells is embarrassingly parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ class ReactionParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.lambda0 < 0:
             raise ValueError(f"lambda0 must be non-negative, got {self.lambda0}")

@@ -9,6 +9,7 @@ All other functions accept scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ class PhysParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"params.{name} must be finite, got {value}")
         positive = {
             "mu": self.mu, "k0": self.k0, "phi0": self.phi0,
