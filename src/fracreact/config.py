@@ -256,7 +256,7 @@ def parse_config(path) -> Scenario:
                                  positive=key == "heat")
         bc[tag] = SegmentBC(**entries)
     present_tags = set(bc)
-    needed_tags = set(mesh.boundary_tags.values())
+    needed_tags = set(mesh.tag_names)
     missing = needed_tags - present_tags
     if missing:
         raise ConfigurationError(

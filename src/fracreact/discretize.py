@@ -24,7 +24,6 @@ outward on boundary faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -97,83 +96,83 @@ class Topology:
     b_dof: np.ndarray
     b_area: np.ndarray
     b_dist: np.ndarray
-    b_tag: tuple[str, ...]
+    b_seg: np.ndarray        # index into seg_names per boundary face
+    seg_names: tuple[str, ...]   # sorted boundary segment names
     b_face_id: np.ndarray    # bulk face of boundary faces, -1 at fracture tips
 
     @property
     def n_conn(self) -> int:
         return len(self.ci)
 
-    @cached_property
-    def b_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted distinct boundary tags and each face's index into them."""
-        return np.unique(np.asarray(self.b_tag, dtype=str), return_inverse=True)
-
 
 def build_topology(mesh: MixedDimMesh) -> Topology:
+    """Connections in bulk face order (a fracture face gives one
+    coupling per side, ``cells[0]`` first), then per fracture its
+    internal faces and tip connections; boundary faces in bulk face
+    order, then the boundary tips per fracture."""
     layout = build_layout(mesh)
-    ci, cj, kind, area, di, dj, low, face_id = [], [], [], [], [], [], [], []
-    b_dof, b_area, b_dist, b_tag, b_face = [], [], [], [], []
+    fc = mesh.face_cells
+    # normal distance from both adjacent cell centroids to each face
+    gap = mesh.face_centroids[:, None, :] - mesh.cell_centroids[fc]
+    dist = np.abs(np.einsum("fsd,fd->fs", gap, mesh.face_normals))
+    zero = (dist <= 0) & (fc >= 0)
+    if np.any(zero):
+        f, side = np.argwhere(zero)[0]
+        raise MeshConformityError(
+            f"zero centroid-to-face distance at face {f}, cell {fc[f, side]}")
 
-    def normal_dist(cell, f):
-        v = mesh.face_centroids[f] - mesh.cell_centroids[cell]
-        d = abs(float(np.dot(v, mesh.face_normals[f])))
-        if d <= 0:
-            raise MeshConformityError(
-                f"zero centroid-to-face distance at face {f}, cell {cell}")
-        return d
+    frac_of_face, local = mesh.face_frac.T
+    coupled = frac_of_face >= 0
+    inner = fc[:, 1] >= 0
+    conn_faces = np.nonzero(coupled | inner)[0]
+    f = np.repeat(conn_faces, np.where(coupled[conn_faces], 2, 1))
+    cpl = coupled[f]
+    second = np.r_[False, f[1:] == f[:-1]]      # the cells[1] side
+    fdof = np.full(len(f), -1)
+    fdof[cpl] = (np.asarray(layout.frac_offsets, dtype=int)[frac_of_face[f[cpl]]]
+                 + local[f[cpl]])
+    bnd = np.nonzero(~coupled & ~inner)[0]
 
-    for f in range(mesh.num_faces):
-        c0, c1 = mesh.face_cells[f]
-        if f in mesh.frac_faces:
-            fid, local = mesh.frac_faces[f]
-            fdof = layout.frac_offsets[fid] + local
-            for c in (c0, c1):
-                ci.append(int(c)); cj.append(fdof); kind.append(COUPLING)
-                area.append(mesh.face_areas[f])
-                di.append(normal_dist(int(c), f)); dj.append(0.0)
-                low.append(fdof); face_id.append(f)
-        elif c1 >= 0:
-            ci.append(int(c0)); cj.append(int(c1)); kind.append(BULK)
-            area.append(mesh.face_areas[f])
-            di.append(normal_dist(int(c0), f)); dj.append(normal_dist(int(c1), f))
-            low.append(-1); face_id.append(f)
-        else:
-            b_dof.append(int(c0)); b_area.append(mesh.face_areas[f])
-            b_dist.append(normal_dist(int(c0), f))
-            b_tag.append(mesh.boundary_tags[f]); b_face.append(f)
+    ci = [np.where(second, fc[f, 1], fc[f, 0])]
+    cj = [np.where(cpl, fdof, fc[f, 1])]
+    kind = [np.where(cpl, COUPLING, BULK)]
+    area = [mesh.face_areas[f]]
+    di = [np.where(second, dist[f, 1], dist[f, 0])]
+    dj = [np.where(cpl, 0.0, dist[f, 1])]
+    low, face_id = [fdof], [f]
+    b_dof, b_area, b_dist = [fc[bnd, 0]], [mesh.face_areas[bnd]], [dist[bnd, 0]]
+    b_seg, b_face = [mesh.face_tag[bnd]], [bnd]
 
     for fid, frac in enumerate(mesh.fractures):
         off = layout.frac_offsets[fid]
-        for a, b in frac.internal:
-            ci.append(off + int(a)); cj.append(off + int(b)); kind.append(FRAC)
-            area.append(1.0)
-            di.append(frac.measures[int(a)] / 2.0)
-            dj.append(frac.measures[int(b)] / 2.0)
-            low.append(-1); face_id.append(-1)
+        a, b = frac.internal.T
+        ci.append(off + a); cj.append(off + b); kind.append(np.full(len(a), FRAC))
+        area.append(np.ones(len(a)))
+        di.append(frac.measures[a] / 2.0); dj.append(frac.measures[b] / 2.0)
+        low.append(np.full(len(a), -1)); face_id.append(np.full(len(a), -1))
         for tip in frac.tips:
             tdof = off + tip.cell
+            half = frac.measures[tip.cell] / 2.0
             if tip.kind == TIP_INTERSECTION:
                 idof = layout.inter_offset + tip.intersection
-                ci.append(tdof); cj.append(idof); kind.append(INTERSECT)
-                area.append(1.0)
-                di.append(frac.measures[tip.cell] / 2.0); dj.append(0.0)
-                low.append(idof); face_id.append(-1)
+                ci.append([tdof]); cj.append([idof]); kind.append([INTERSECT])
+                area.append([1.0]); di.append([half]); dj.append([0.0])
+                low.append([idof]); face_id.append([-1])
             elif tip.kind == TIP_BOUNDARY:
-                b_dof.append(tdof); b_area.append(1.0)
-                b_dist.append(frac.measures[tip.cell] / 2.0)
-                b_tag.append(tip.tag); b_face.append(-1)
+                b_dof.append([tdof]); b_area.append([1.0]); b_dist.append([half])
+                b_seg.append([mesh.tag_names.index(tip.tag)]); b_face.append([-1])
             # immersed tips impose no flow: no connection at all
 
+    def cat(parts, dtype):
+        return np.concatenate(parts).astype(dtype, copy=False)
+
     return Topology(
-        layout=layout,
-        ci=np.asarray(ci, dtype=int), cj=np.asarray(cj, dtype=int),
-        kind=np.asarray(kind, dtype=int), area=np.asarray(area, dtype=float),
-        di=np.asarray(di, dtype=float), dj=np.asarray(dj, dtype=float),
-        low_dof=np.asarray(low, dtype=int), face_id=np.asarray(face_id, dtype=int),
-        b_dof=np.asarray(b_dof, dtype=int), b_area=np.asarray(b_area, dtype=float),
-        b_dist=np.asarray(b_dist, dtype=float), b_tag=tuple(b_tag),
-        b_face_id=np.asarray(b_face, dtype=int))
+        layout=layout, ci=cat(ci, int), cj=cat(cj, int), kind=cat(kind, int),
+        area=cat(area, float), di=cat(di, float), dj=cat(dj, float),
+        low_dof=cat(low, int), face_id=cat(face_id, int),
+        b_dof=cat(b_dof, int), b_area=cat(b_area, float),
+        b_dist=cat(b_dist, float), b_seg=cat(b_seg, int),
+        seg_names=mesh.tag_names, b_face_id=cat(b_face, int))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,13 @@ polylines). Each fracture arm ends in two tips whose kind is one of
 intersection tip carries the index of its intersection object.
 ``validate_conformity`` checks the structural invariants of a built mesh.
 
+The bulk mesh is stored as plain index arrays: cell and face vertices,
+the (up to) two cells of each face, and per face its boundary segment
+as an integer code into the sorted ``tag_names`` (-1 on interior
+faces) and its fracture cell as a (fracture, local) pair (-1 where the
+face carries none). Fractures and intersections are small tuples of
+objects.
+
 Meshes are immutable after construction and safe to share across
 threads; construction is single-threaded.
 """
@@ -22,7 +29,7 @@ threads; construction is single-threaded.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +41,8 @@ GEOM_REL_TOL = 1e-12
 TIP_BOUNDARY = "boundary"
 TIP_IMMERSED = "immersed"
 TIP_INTERSECTION = "intersection"
+
+TAGS_2D = ("bottom", "left", "right", "top")
 
 
 @dataclass(frozen=True)
@@ -72,18 +81,19 @@ class Intersection:
 class MixedDimMesh:
     dim: int
     points: np.ndarray                 # (npnt, dim)
-    cell_vertices: tuple[tuple[int, ...], ...]
+    cell_vertices: np.ndarray          # (nc, 2) interval / (nc, 4) quad, int
     cell_centroids: np.ndarray         # (nc, dim)
     cell_volumes: np.ndarray           # (nc,)
-    face_vertices: tuple[tuple[int, ...], ...]
+    face_vertices: np.ndarray          # (nf, 1) point / (nf, 2) edge, int
     face_cells: np.ndarray             # (nf, 2), -1 where absent
     face_areas: np.ndarray
     face_normals: np.ndarray           # oriented cells[0] -> cells[1]/outward
     face_centroids: np.ndarray
-    boundary_tags: dict[int, str]      # boundary face id -> segment name
+    face_tag: np.ndarray               # (nf,) index into tag_names, -1 inside
+    tag_names: tuple[str, ...]         # sorted boundary segment names
+    face_frac: np.ndarray              # (nf, 2) (fracture, local), -1 if none
     fractures: tuple[Fracture, ...] = ()
     intersections: tuple[Intersection, ...] = ()
-    frac_faces: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     @property
     def num_cells(self) -> int:
@@ -116,23 +126,24 @@ def build_interval_mesh(length: float, num_cells: int) -> MixedDimMesh:
     n = int(num_cells)
     points = np.linspace(0.0, length, n + 1).reshape(-1, 1)
     h = length / n
-    cell_vertices = tuple((i, i + 1) for i in range(n))
+    nodes = np.arange(n + 1)
     centroids = (points[:-1] + points[1:]) / 2.0
     volumes = np.full(n, h)
-    face_vertices = tuple((i,) for i in range(n + 1))
-    face_cells = np.column_stack([np.arange(-1, n), np.arange(0, n + 1)])
+    face_cells = np.column_stack([nodes - 1, nodes])
     face_cells[-1] = (n - 1, -1)
     face_cells[0] = (0, -1)
     normals = np.ones((n + 1, 1))
     normals[0, 0] = -1.0   # outward at the left boundary
-    areas = np.ones(n + 1)
-    tags = {0: "left", n: "right"}
+    face_tag = np.full(n + 1, -1)
+    face_tag[[0, n]] = (0, 1)
     return MixedDimMesh(
-        dim=1, points=points, cell_vertices=cell_vertices,
+        dim=1, points=points,
+        cell_vertices=np.column_stack([nodes[:-1], nodes[1:]]),
         cell_centroids=centroids, cell_volumes=volumes,
-        face_vertices=face_vertices, face_cells=face_cells,
-        face_areas=areas, face_normals=normals, face_centroids=points.copy(),
-        boundary_tags=tags)
+        face_vertices=nodes.reshape(-1, 1), face_cells=face_cells,
+        face_areas=np.ones(n + 1), face_normals=normals,
+        face_centroids=points.copy(), face_tag=face_tag,
+        tag_names=("left", "right"), face_frac=np.full((n + 1, 2), -1))
 
 
 def build_structured_2d(nx: int, ny: int,
@@ -146,6 +157,11 @@ def build_structured_2d(nx: int, ny: int,
     Polylines are split into arms at every node they pass more than
     once, together or each on its own (a self-crossing polyline); such
     nodes become 0-dimensional intersection objects.
+
+    Node (ix, iy) is point iy*(nx+1) + ix and cell (ix, iy) is bulk
+    cell iy*nx + ix. The x-normal face on the left of cell (ix, iy) is
+    face iy*(nx+1) + ix; the y-normal face below it is face
+    ny*(nx+1) + iy*nx + ix.
     """
     if nx < 1 or ny < 1:
         raise ConfigurationError(f"grid must have at least one cell per axis, got {nx}x{ny}")
@@ -160,15 +176,13 @@ def build_structured_2d(nx: int, ny: int,
 
     xx, yy = np.meshgrid(xs, ys)
     points = np.column_stack([xx.ravel(), yy.ravel()])
+    nodes = np.arange(len(points)).reshape(ny + 1, nx + 1)
 
-    def cell(ix, iy):
-        return iy * nx + ix
+    def stack(*blocks):
+        return np.column_stack([block.ravel() for block in blocks])
 
-    cell_vertices = []
-    for iy in range(ny):
-        for ix in range(nx):
-            cell_vertices.append((node(ix, iy), node(ix + 1, iy),
-                                  node(ix + 1, iy + 1), node(ix, iy + 1)))
+    cell_vertices = stack(nodes[:-1, :-1], nodes[:-1, 1:], nodes[1:, 1:],
+                          nodes[1:, :-1])
     centroids = np.column_stack([
         np.tile((xs[:-1] + xs[1:]) / 2.0, ny),
         np.repeat((ys[:-1] + ys[1:]) / 2.0, nx)])
@@ -176,65 +190,39 @@ def build_structured_2d(nx: int, ny: int,
     hy = (ymax - ymin) / ny
     volumes = np.full(nx * ny, hx * hy)
 
-    face_vertices = []
-    face_cells = []
-    face_normals = []
-    face_areas = []
-    tags: dict[int, str] = {}
-    vface: dict[tuple[int, int], int] = {}
-    hface: dict[tuple[int, int], int] = {}
-    # x-normal faces (vertical edges)
-    for iy in range(ny):
-        for ix in range(nx + 1):
-            fid = len(face_vertices)
-            vface[(ix, iy)] = fid
-            face_vertices.append((node(ix, iy), node(ix, iy + 1)))
-            left = cell(ix - 1, iy) if ix > 0 else -1
-            right = cell(ix, iy) if ix < nx else -1
-            if left < 0:
-                face_cells.append((right, -1))
-                face_normals.append((-1.0, 0.0))
-                tags[fid] = "left"
-            elif right < 0:
-                face_cells.append((left, -1))
-                face_normals.append((1.0, 0.0))
-                tags[fid] = "right"
-            else:
-                face_cells.append((left, right))
-                face_normals.append((1.0, 0.0))
-            face_areas.append(hy)
-    # y-normal faces (horizontal edges)
-    for iy in range(ny + 1):
-        for ix in range(nx):
-            fid = len(face_vertices)
-            hface[(ix, iy)] = fid
-            face_vertices.append((node(ix, iy), node(ix + 1, iy)))
-            below = cell(ix, iy - 1) if iy > 0 else -1
-            above = cell(ix, iy) if iy < ny else -1
-            if below < 0:
-                face_cells.append((above, -1))
-                face_normals.append((0.0, -1.0))
-                tags[fid] = "bottom"
-            elif above < 0:
-                face_cells.append((below, -1))
-                face_normals.append((0.0, 1.0))
-                tags[fid] = "top"
-            else:
-                face_cells.append((below, above))
-                face_normals.append((0.0, 1.0))
-            face_areas.append(hx)
-    face_vertices = tuple(face_vertices)
-    face_cells = np.asarray(face_cells)
-    face_normals = np.asarray(face_normals)
-    face_areas = np.asarray(face_areas)
-    face_centroids = np.array([points[list(v)].mean(axis=0) for v in face_vertices])
+    # x-normal faces (vertical edges), then y-normal faces (horizontal
+    # edges), each block row by row. ``lo`` and ``hi`` are the cells
+    # left/below and right/above a face, -1 outside the domain (the
+    # padding of ``cells``); a boundary face keeps its one cell first
+    # and its normal points outward.
+    nv = ny * (nx + 1)
+    face_vertices = np.concatenate([stack(nodes[:-1], nodes[1:]),
+                                    stack(nodes[:, :-1], nodes[:, 1:])])
+    cells = np.full((ny + 2, nx + 2), -1)
+    cells[1:-1, 1:-1] = np.arange(nx * ny).reshape(ny, nx)
+    lo = np.concatenate([cells[1:-1, :-1].ravel(), cells[:-1, 1:-1].ravel()])
+    hi = np.concatenate([cells[1:-1, 1:].ravel(), cells[1:, 1:-1].ravel()])
+    face_cells = np.column_stack([np.where(lo < 0, hi, lo),
+                                  np.where(lo < 0, -1, hi)])
+    nf = len(face_cells)
+    vertical = np.arange(nf) < nv
+    face_normals = np.zeros((nf, 2))
+    face_normals[np.arange(nf), np.where(vertical, 0, 1)] = \
+        np.where(lo < 0, -1.0, 1.0)
+    face_areas = np.where(vertical, hy, hx)
+    face_centroids = points[face_vertices].mean(axis=1)
+    # codes into TAGS_2D: bottom 0, left 1, right 2, top 3
+    face_tag = np.select([lo < 0, hi < 0], [np.where(vertical, 1, 0),
+                                            np.where(vertical, 2, 3)], -1)
+    face_frac = np.full((nf, 2), -1)
 
     mesh = MixedDimMesh(
-        dim=2, points=points, cell_vertices=tuple(cell_vertices),
+        dim=2, points=points, cell_vertices=cell_vertices,
         cell_centroids=centroids, cell_volumes=volumes,
         face_vertices=face_vertices, face_cells=face_cells,
         face_areas=face_areas, face_normals=face_normals,
-        face_centroids=face_centroids, boundary_tags=tags)
+        face_centroids=face_centroids, face_tag=face_tag,
+        tag_names=TAGS_2D, face_frac=face_frac)
     if not fractures:
         return mesh
 
@@ -274,14 +262,14 @@ def build_structured_2d(nx: int, ny: int,
                 step = 1 if cur[1] > prev[1] else -1
                 for iy in range(prev[1], cur[1], step):
                     j = iy if step > 0 else iy - 1
-                    edges_path.append(vface[(ix, j)])
+                    edges_path.append(node(ix, j))     # face above node
                     nodes_path.append((ix, j + 1) if step > 0 else (ix, j))
             elif cur[1] == prev[1]:     # horizontal: covers y-normal faces
                 iy = cur[1]
                 step = 1 if cur[0] > prev[0] else -1
                 for ix in range(prev[0], cur[0], step):
                     j = ix if step > 0 else ix - 1
-                    edges_path.append(hface[(ix if step > 0 else ix - 1, iy)])
+                    edges_path.append(nv + iy * nx + j)   # right of node
                     nodes_path.append((j + 1, iy) if step > 0 else (j, iy))
             else:
                 raise ConfigurationError(
@@ -327,17 +315,16 @@ def build_structured_2d(nx: int, ny: int,
     inter_index = {nd: i for i, nd in enumerate(inter_nodes)}
 
     frac_objs = []
-    frac_faces: dict[int, tuple[int, int]] = {}
     for arm_nodes, arm_edges in arms:
         fid = len(frac_objs)
         ncf = len(arm_edges)
         cfaces = np.asarray(arm_edges)
-        for local, e in enumerate(arm_edges):
-            if face_cells[e, 1] < 0:
-                raise ConfigurationError(
-                    "fracture lies on the domain boundary; fracture cells "
-                    "must coincide with interior faces")
-            frac_faces[e] = (fid, local)
+        if np.any(face_cells[cfaces, 1] < 0):
+            raise ConfigurationError(
+                "fracture lies on the domain boundary; fracture cells "
+                "must coincide with interior faces")
+        face_frac[cfaces, 0] = fid
+        face_frac[cfaces, 1] = np.arange(ncf)
         cents = face_centroids[cfaces].copy()
         meas = face_areas[cfaces].copy()
         internal = np.column_stack([np.arange(ncf - 1), np.arange(1, ncf)]) \
@@ -359,14 +346,8 @@ def build_structured_2d(nx: int, ny: int,
 
     intersections = tuple(Intersection(point=points[node(*nd)])
                           for nd in inter_nodes)
-    return MixedDimMesh(
-        dim=2, points=points, cell_vertices=tuple(cell_vertices),
-        cell_centroids=centroids, cell_volumes=volumes,
-        face_vertices=face_vertices, face_cells=face_cells,
-        face_areas=face_areas, face_normals=face_normals,
-        face_centroids=face_centroids, boundary_tags=tags,
-        fractures=tuple(frac_objs), intersections=intersections,
-        frac_faces=frac_faces)
+    return replace(mesh, fractures=tuple(frac_objs),
+                   intersections=intersections)
 
 
 # ---------------------------------------------------------------------------
@@ -378,47 +359,44 @@ def validate_conformity(mesh: MixedDimMesh) -> list[str]:
     messages, empty iff the mesh is valid."""
     report: list[str] = []
     tol = GEOM_REL_TOL * max(mesh.diameter, 1.0)
+    nf = mesh.num_faces
 
-    if np.any(mesh.cell_volumes <= 0):
-        bad = np.nonzero(mesh.cell_volumes <= 0)[0]
-        report.append(f"non-positive cell volumes at bulk cells {bad.tolist()}")
-    if np.any(mesh.face_areas <= 0):
-        bad = np.nonzero(mesh.face_areas <= 0)[0]
-        report.append(f"non-positive face areas at faces {bad.tolist()}")
+    def flag(mask, message, ids=None):
+        """Report the ``ids`` (default: the positions) where ``mask`` holds."""
+        if np.any(mask):
+            bad = np.nonzero(mask)[0] if ids is None else ids[mask]
+            report.append(f"{message} {bad.tolist()}")
 
-    for f in range(mesh.num_faces):
-        c0, c1 = mesh.face_cells[f]
-        if c0 < 0:
-            report.append(f"face {f} has no primary adjacent cell")
-        if c1 < 0 and f not in mesh.boundary_tags:
-            report.append(f"boundary face {f} carries no boundary tag")
-        if c1 >= 0 and f in mesh.boundary_tags:
-            report.append(f"interior face {f} carries boundary tag "
-                          f"{mesh.boundary_tags[f]!r}")
+    flag(mesh.cell_volumes <= 0, "non-positive cell volumes at bulk cells")
+    flag(mesh.face_areas <= 0, "non-positive face areas at faces")
+    c0, c1 = mesh.face_cells.T
+    flag(c0 < 0, "no primary adjacent cell at faces")
+    flag((c1 < 0) & (mesh.face_tag < 0), "no boundary tag at boundary faces")
+    flag((c1 >= 0) & (mesh.face_tag >= 0), "a boundary tag at interior faces")
 
-    seen_faces: dict[int, tuple[int, int]] = {}
+    expected = np.full((nf, 2), -1)
+    coupled = np.zeros(nf, dtype=int)
     referenced: set[int] = set()
     for fid, frac in enumerate(mesh.fractures):
-        for local, bface in enumerate(frac.cell_faces):
-            bface = int(bface)
-            if bface < 0 or bface >= mesh.num_faces:
-                report.append(f"fracture {fid} cell {local} references "
-                              f"unknown face {bface}")
-                continue
-            if bface in seen_faces:
-                report.append(f"face {bface} coupled to two fracture cells "
-                              f"{seen_faces[bface]} and {(fid, local)}")
-            seen_faces[bface] = (fid, local)
-            if mesh.face_cells[bface, 1] < 0:
-                report.append(f"fracture {fid} cell {local} sits on boundary "
-                              f"face {bface}")
-            dc = np.linalg.norm(frac.centroids[local] - mesh.face_centroids[bface])
-            dm = abs(frac.measures[local] - mesh.face_areas[bface])
-            if dc > tol or dm > tol:
-                report.append(
-                    f"fracture {fid} cell {local} is not geometrically "
-                    f"identical to bulk face {bface} "
-                    f"(centroid offset {dc:.3e}, measure offset {dm:.3e})")
+        cf = np.asarray(frac.cell_faces)
+        known = (cf >= 0) & (cf < nf)
+        flag(~known, f"fracture {fid} references unknown faces at its cells")
+        local = np.nonzero(known)[0]
+        cf = cf[known]
+        np.add.at(coupled, cf, 1)
+        expected[cf, 0] = fid
+        expected[cf, 1] = local
+        flag(mesh.face_cells[cf, 1] < 0,
+             f"fracture {fid} sits on boundary faces at its cells", local)
+        dc = np.linalg.norm(frac.centroids[local] - mesh.face_centroids[cf], axis=1)
+        dm = np.abs(frac.measures[local] - mesh.face_areas[cf])
+        off = (dc > tol) | (dm > tol)
+        if np.any(off):
+            report.append(
+                f"fracture {fid} cells {local[off].tolist()} are not "
+                f"geometrically identical to bulk faces {cf[off].tolist()} "
+                f"(centroid offset up to {dc.max():.3e}, measure offset up "
+                f"to {dm.max():.3e})")
         if len(frac.tips) != 2:
             report.append(f"fracture {fid} must have exactly 2 tips")
         for tip in frac.tips:
@@ -428,10 +406,9 @@ def validate_conformity(mesh: MixedDimMesh) -> list[str]:
                     report.append(f"fracture {fid} tip references missing "
                                   f"intersection {tip.intersection}")
                 referenced.add(tip.intersection)
-    for e, (fid, local) in mesh.frac_faces.items():
-        if seen_faces.get(e) != (fid, local):
-            report.append(f"frac_faces entry {e} -> {(fid, local)} does not "
-                          f"match the fracture definition")
+    flag(coupled > 1, "more than one fracture cell coupled to faces")
+    flag(np.any(mesh.face_frac != expected, axis=1),
+         "face_frac does not match the fracture definition at faces")
 
     for iid in range(len(mesh.intersections)):
         if iid not in referenced:

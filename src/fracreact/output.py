@@ -89,12 +89,13 @@ def _vtk_points(points) -> list[str]:
     return lines
 
 
-def _vtk_cells(cells, cell_type: int) -> list[str]:
-    total = sum(len(c) + 1 for c in cells)
-    lines = [f"CELLS {len(cells)} {total}"]
-    lines.extend(f"{len(c)} " + " ".join(str(i) for i in c) for c in cells)
-    lines.append(f"CELL_TYPES {len(cells)}")
-    lines.extend(str(cell_type) for _ in cells)
+def _vtk_cells(cells: np.ndarray, cell_type: int) -> list[str]:
+    """CELLS and CELL_TYPES sections of an (n, k) vertex-index array."""
+    n, k = cells.shape
+    lines = [f"CELLS {n} {n * (k + 1)}"]
+    lines.extend(f"{k} " + " ".join(map(str, c)) for c in cells.tolist())
+    lines.append(f"CELL_TYPES {n}")
+    lines.extend([str(cell_type)] * n)
     return lines
 
 
@@ -134,31 +135,25 @@ def write_vtk_snapshot(out_dir, scenario_name: str, step: int,
     written = []
 
     # bulk
-    cells = [list(v) for v in mesh.cell_vertices]
     ctype = _VTK_QUAD if mesh.dim == 2 else _VTK_LINE
     lines = _vtk_header(f"{scenario_name} bulk step {step}")
     lines += _vtk_points(mesh.points)
-    lines += _vtk_cells(cells, ctype)
+    lines += _vtk_cells(mesh.cell_vertices, ctype)
     lines += _vtk_cell_data(_field_arrays(state, lay.is_bulk))
     path = os.path.join(out_dir, f"{scenario_name}_bulk_{step:06d}.vtk")
     _write_lines(path, lines)
     written.append(path)
 
-    # fractures: one polyline file per arm
+    # fractures: one polyline file per arm, each cell with its own two
+    # copies of the end points
     for fid, frac in enumerate(mesh.fractures):
-        pts = []
-        cell_defs = []
-        for local, bface in enumerate(frac.cell_faces):
-            v = mesh.face_vertices[int(bface)]
-            a, b = mesh.points[v[0]], mesh.points[v[1]]
-            pts.extend([a, b])
-            cell_defs.append([2 * local, 2 * local + 1])
+        pts = mesh.points[mesh.face_vertices[frac.cell_faces]].reshape(-1, mesh.dim)
         sel = np.zeros(lay.ndof, dtype=bool)
         off = lay.frac_offsets[fid]
         sel[off:off + frac.num_cells] = True
         lines = _vtk_header(f"{scenario_name} fracture {fid} step {step}")
-        lines += _vtk_points(np.asarray(pts))
-        lines += _vtk_cells(cell_defs, _VTK_LINE)
+        lines += _vtk_points(pts)
+        lines += _vtk_cells(np.arange(len(pts)).reshape(-1, 2), _VTK_LINE)
         lines += _vtk_cell_data(_field_arrays(state, sel))
         path = os.path.join(
             out_dir, f"{scenario_name}_fracture{fid:02d}_{step:06d}.vtk")
@@ -168,10 +163,9 @@ def write_vtk_snapshot(out_dir, scenario_name: str, step: int,
     # intersections: all points in one file
     if mesh.intersections:
         pts = np.asarray([inter.point for inter in mesh.intersections])
-        cell_defs = [[i] for i in range(len(pts))]
         lines = _vtk_header(f"{scenario_name} intersections step {step}")
         lines += _vtk_points(pts)
-        lines += _vtk_cells(cell_defs, _VTK_VERTEX)
+        lines += _vtk_cells(np.arange(len(pts)).reshape(-1, 1), _VTK_VERTEX)
         lines += _vtk_cell_data(_field_arrays(state, lay.is_inter))
         path = os.path.join(
             out_dir, f"{scenario_name}_intersections_{step:06d}.vtk")

@@ -88,9 +88,8 @@ def _resolve_bc(top: Topology, bc: BoundarySpec, equation: str):
     """Per-boundary-face (kind, value) arrays for one equation; each
     segment is looked up once."""
     accepted = FLOW_KINDS if equation == "flow" else TRANSPORT_KINDS
-    tags, face_tag = top.b_segments
     kinds, values = [], []
-    for tag in tags.tolist():
+    for tag in top.seg_names:
         if tag not in bc:
             raise WellPosednessError(f"no boundary condition for segment {tag!r}")
         kind, val = getattr(bc[tag], equation)
@@ -99,8 +98,8 @@ def _resolve_bc(top: Topology, bc: BoundarySpec, equation: str):
                 f"unknown {equation} boundary kind {kind!r} on segment {tag!r}")
         kinds.append(kind)
         values.append(float(val))
-    return (np.array(kinds, dtype=str)[face_tag],
-            np.array(values, dtype=float)[face_tag])
+    return (np.array(kinds, dtype=str)[top.b_seg],
+            np.array(values, dtype=float)[top.b_seg])
 
 
 def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,

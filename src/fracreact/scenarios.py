@@ -85,22 +85,13 @@ def prescribed_interval_flux(mesh: MixedDimMesh, top: Topology, velocity):
     """(connection, boundary) fluxes of a given 1D Darcy velocity field.
 
     ``velocity`` maps the face coordinate x to the signed velocity along
-    +x. Boundary fluxes are outward.
+    +x. Each face's normal gives the sign: connections run from
+    ``cells[0]`` to ``cells[1]`` and boundary fluxes are outward.
     """
-    conn = np.empty(top.n_conn)
-    for k in range(top.n_conn):
-        f = top.face_id[k]
-        x = float(mesh.face_centroids[f][0])
-        sign = 1.0 if mesh.cell_centroids[top.cj[k]][0] > \
-            mesh.cell_centroids[top.ci[k]][0] else -1.0
-        conn[k] = velocity(x) * sign * mesh.face_areas[f]
-    bnd = np.empty(len(top.b_dof))
-    for i, tag in enumerate(top.b_tag):
-        f = top.b_face_id[i]
-        x = float(mesh.face_centroids[f][0])
-        outward = -1.0 if tag == "left" else 1.0
-        bnd[i] = velocity(x) * outward * mesh.face_areas[f]
-    return conn, bnd
+    def flux(faces):
+        v = np.array([velocity(float(x)) for x in mesh.face_centroids[faces, 0]])
+        return v * mesh.face_normals[faces, 0] * mesh.face_areas[faces]
+    return flux(top.face_id), flux(top.b_face_id)
 
 
 def _region_mask(coords: np.ndarray, lo, hi) -> np.ndarray:

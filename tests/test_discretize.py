@@ -1,6 +1,8 @@
 """Degree-of-freedom layout, two-point transmissibilities, upwinding and
 the mixed-dimensional divergence operator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,10 @@ from fracreact.discretize import (BULK, COUPLING, FRAC, INTERSECT,
                                   assemble_mixed_divergence,
                                   boundary_transmissibilities, build_layout,
                                   build_topology, transmissibilities)
-from fracreact.mesh import build_interval_mesh, build_structured_2d
+from fracreact.mesh import (TIP_BOUNDARY, TIP_INTERSECTION,
+                            build_interval_mesh, build_structured_2d)
 from fracreact.physics import FLUX, OUTFLOW, transport_step
+from fracreact.scenarios import get_scenario, list_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +68,7 @@ class TestTopology:
         assert top.n_conn == mesh.num_cells - 1
         assert np.all(top.kind == BULK)
         assert len(top.b_dof) == 2
-        assert set(top.b_tag) == {"left", "right"}
+        assert {top.seg_names[c] for c in top.b_seg} == {"left", "right"}
 
     def test_connection_kinds_present(self, network):
         _, top = network
@@ -122,7 +126,7 @@ class TestTransmissibility:
         # a face cut by a fracture carries two couplings, no bulk connection
         mesh, top = network
         bulk_faces = set(top.face_id[top.kind == BULK].tolist())
-        for f in mesh.frac_faces:
+        for f in np.nonzero(mesh.face_frac[:, 0] >= 0)[0]:
             assert f not in bulk_faces
             assert np.count_nonzero((top.face_id == f)
                                     & (top.kind == COUPLING)) == 2
@@ -182,7 +186,7 @@ class TestUpwind:
 
     def test_boundary_inflow_uses_datum(self, line):
         _, top = line
-        left = list(top.b_tag).index("left")
+        left = top.b_seg.tolist().index(top.seg_names.index("left"))
         bflux = np.where(np.arange(2) == left, -1.0, 1.0)
         x, bnd_total = _advect(top, np.full(top.layout.ndof, 5.0),
                                np.zeros(top.n_conn), bflux,
@@ -216,8 +220,99 @@ class TestDivergence:
 
 def test_boundary_faces_by_tag_partition(network):
     mesh, top = network
-    tags = np.asarray(top.b_tag)
+    tags = np.asarray(top.seg_names)[top.b_seg]
     assert len(tags) == len(top.b_dof)
-    for tag in set(mesh.boundary_tags.values()):
-        expect = sorted(f for f, t in mesh.boundary_tags.items() if t == tag)
+    for tag in set(boundary_tags(mesh).values()):
+        expect = sorted(f for f, t in boundary_tags(mesh).items() if t == tag)
         assert sorted(top.b_face_id[tags == tag].tolist()) == expect
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-face loop the index arithmetic of build_topology
+# replaced
+
+
+def boundary_tags(mesh):
+    """Boundary face id -> segment name."""
+    return {int(f): mesh.tag_names[mesh.face_tag[f]]
+            for f in np.nonzero(mesh.face_tag >= 0)[0]}
+
+
+def _reference_topology(mesh):
+    """Topology fields, boundary segments as names (``b_tag``)."""
+    layout = build_layout(mesh)
+    ci, cj, kind, area, di, dj, low, face_id = [], [], [], [], [], [], [], []
+    b_dof, b_area, b_dist, b_tag, b_face = [], [], [], [], []
+
+    def normal_dist(cell, f):
+        v = mesh.face_centroids[f] - mesh.cell_centroids[cell]
+        return abs(float(np.dot(v, mesh.face_normals[f])))
+
+    for f in range(mesh.num_faces):
+        c0, c1 = mesh.face_cells[f]
+        if mesh.face_frac[f, 0] >= 0:
+            fid, local = mesh.face_frac[f]
+            fdof = layout.frac_offsets[fid] + local
+            for c in (c0, c1):
+                ci.append(int(c)); cj.append(fdof); kind.append(COUPLING)
+                area.append(mesh.face_areas[f])
+                di.append(normal_dist(int(c), f)); dj.append(0.0)
+                low.append(fdof); face_id.append(f)
+        elif c1 >= 0:
+            ci.append(int(c0)); cj.append(int(c1)); kind.append(BULK)
+            area.append(mesh.face_areas[f])
+            di.append(normal_dist(int(c0), f)); dj.append(normal_dist(int(c1), f))
+            low.append(-1); face_id.append(f)
+        else:
+            b_dof.append(int(c0)); b_area.append(mesh.face_areas[f])
+            b_dist.append(normal_dist(int(c0), f))
+            b_tag.append(mesh.tag_names[mesh.face_tag[f]]); b_face.append(f)
+
+    for fid, frac in enumerate(mesh.fractures):
+        off = layout.frac_offsets[fid]
+        for a, b in frac.internal:
+            ci.append(off + int(a)); cj.append(off + int(b)); kind.append(FRAC)
+            area.append(1.0)
+            di.append(frac.measures[int(a)] / 2.0)
+            dj.append(frac.measures[int(b)] / 2.0)
+            low.append(-1); face_id.append(-1)
+        for tip in frac.tips:
+            tdof = off + tip.cell
+            if tip.kind == TIP_INTERSECTION:
+                idof = layout.inter_offset + tip.intersection
+                ci.append(tdof); cj.append(idof); kind.append(INTERSECT)
+                area.append(1.0)
+                di.append(frac.measures[tip.cell] / 2.0); dj.append(0.0)
+                low.append(idof); face_id.append(-1)
+            elif tip.kind == TIP_BOUNDARY:
+                b_dof.append(tdof); b_area.append(1.0)
+                b_dist.append(frac.measures[tip.cell] / 2.0)
+                b_tag.append(tip.tag); b_face.append(-1)
+
+    return layout, dict(
+        ci=np.asarray(ci, dtype=int), cj=np.asarray(cj, dtype=int),
+        kind=np.asarray(kind, dtype=int), area=np.asarray(area, dtype=float),
+        di=np.asarray(di, dtype=float), dj=np.asarray(dj, dtype=float),
+        low_dof=np.asarray(low, dtype=int), face_id=np.asarray(face_id, dtype=int),
+        b_dof=np.asarray(b_dof, dtype=int), b_area=np.asarray(b_area, dtype=float),
+        b_dist=np.asarray(b_dist, dtype=float), b_tag=np.asarray(b_tag, dtype=str),
+        b_face_id=np.asarray(b_face, dtype=int))
+
+
+def assert_topology_matches_reference(mesh, top):
+    """Every Topology and DofLayout array equals the per-face loop's."""
+    layout, fields = _reference_topology(mesh)
+    for field in dataclasses.fields(layout):
+        assert np.array_equal(getattr(top.layout, field.name),
+                              getattr(layout, field.name)), field.name
+    for name, want in fields.items():
+        got = (np.asarray(top.seg_names)[top.b_seg] if name == "b_tag"
+               else getattr(top, name))
+        assert got.dtype.kind == want.dtype.kind, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("name", sorted(list_scenarios()))
+def test_topology_matches_reference_on_builtins(name):
+    scenario = get_scenario(name)
+    assert_topology_matches_reference(scenario.mesh, scenario.problem.top)

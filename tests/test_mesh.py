@@ -13,6 +13,7 @@ from fracreact.errors import ConfigurationError
 from fracreact.mesh import (TIP_INTERSECTION, Intersection,
                             build_interval_mesh, build_structured_2d,
                             validate_conformity)
+from test_discretize import assert_topology_matches_reference, boundary_tags
 
 
 class TestIntervalMesh:
@@ -27,7 +28,7 @@ class TestIntervalMesh:
 
     def test_boundary_tags(self):
         mesh = build_interval_mesh(1.0, 3)
-        assert mesh.boundary_tags == {0: "left", 3: "right"}
+        assert boundary_tags(mesh) == {0: "left", 3: "right"}
 
     def test_left_normal_outward(self):
         mesh = build_interval_mesh(1.0, 3)
@@ -54,7 +55,7 @@ class TestStructured2D:
 
     def test_boundary_tag_counts(self):
         mesh = build_structured_2d(4, 3)
-        tags = list(mesh.boundary_tags.values())
+        tags = list(boundary_tags(mesh).values())
         assert tags.count("bottom") == 4
         assert tags.count("top") == 4
         assert tags.count("left") == 3
@@ -83,7 +84,7 @@ class TestFractureEmbedding:
         assert {tip.tag for tip in frac.tips} == {"bottom", "top"}
         np.testing.assert_allclose(frac.measures, 0.25)
         # fracture-covered bulk faces are recorded with both neighbours
-        assert len(mesh.frac_faces) == 4
+        assert np.count_nonzero(mesh.face_frac[:, 0] >= 0) == 4
         assert validate_conformity(mesh) == []
 
     def test_immersed_fracture_tips(self):
@@ -140,6 +141,35 @@ class TestFractureEmbedding:
         assert validate_conformity(bad) == [
             "intersection 1 is not referenced by any fracture tip"]
 
+    @pytest.mark.parametrize("field, row, value, message", [
+        ("face_tag", 1, 0, "a boundary tag at interior faces [1]"),
+        ("face_tag", 0, -1, "no boundary tag at boundary faces [0]"),
+        ("face_cells", 1, (-1, 1), "no primary adjacent cell at faces [1]"),
+        ("face_frac", 29, (-1, -1),
+         "face_frac does not match the fracture definition at faces [29]"),
+    ])
+    def test_corrupted_face_arrays_reported(self, field, row, value, message):
+        # arms 0-3 of the crossing sit on faces 29, 30, 7 and 12
+        mesh = build_structured_2d(4, 4, fractures=[
+            [(0.25, 0.5), (0.75, 0.5)], [(0.5, 0.25), (0.5, 0.75)]])
+        array = getattr(mesh, field).copy()
+        array[row] = value
+        bad = dataclasses.replace(mesh, **{field: array})
+        assert validate_conformity(bad) == [message]
+
+    def test_misplaced_fracture_cell_reported(self):
+        mesh = build_structured_2d(4, 4, fractures=[
+            [(0.25, 0.5), (0.75, 0.5)], [(0.5, 0.25), (0.5, 0.75)]])
+        arm = dataclasses.replace(mesh.fractures[1], cell_faces=np.array([29]))
+        bad = dataclasses.replace(
+            mesh, fractures=(mesh.fractures[0], arm) + mesh.fractures[2:])
+        report = validate_conformity(bad)
+        assert "more than one fracture cell coupled to faces [29]" in report
+        assert "face_frac does not match the fracture definition at faces " \
+            "[29, 30]" in report
+        assert any(msg.startswith("fracture 1 cells [0] are not geometrically")
+                   for msg in report)
+
 
 @st.composite
 def grid_networks(draw):
@@ -190,6 +220,7 @@ class TestRandomNetworks:
             return
         assert validate_conformity(mesh) == []
         top = build_topology(mesh)
+        assert_topology_matches_reference(mesh, top)
         lay = top.layout
 
         def degree(kind):

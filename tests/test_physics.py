@@ -46,7 +46,7 @@ class TestDarcy:
         np.testing.assert_allclose(np.abs(conn), 1.0, rtol=1e-10)
         np.testing.assert_allclose(np.abs(bnd), 1.0, rtol=1e-10)
         # outward convention: inflow negative at the high-pressure end
-        assert bnd[list(top.b_tag).index("left")] < 0
+        assert bnd[top.b_seg.tolist().index(top.seg_names.index("left"))] < 0
 
     def test_per_cell_conservation(self, line):
         _, top = line
@@ -251,7 +251,7 @@ class TestTransport:
 def _reference_bc(top, bc, equation):
     kinds = []
     values = np.empty(len(top.b_dof))
-    for i, tag in enumerate(top.b_tag):
+    for i, tag in enumerate(top.seg_names[c] for c in top.b_seg):
         kind, val = getattr(bc[tag], equation)
         kinds.append(kind)
         values[i] = val
@@ -389,7 +389,7 @@ class TestSharedAssembly:
 
     def test_case_exercises_every_closure(self, case):
         top, params, bc, state, pore_star, _ = case
-        tags = np.asarray(top.b_tag)
+        tags = np.asarray(top.seg_names)[top.b_seg]
         _, _, bnd = darcy_step(top, pore_star, state.pore, params, bc,
                                self.DT)
         for tag in ("bottom", "top"):       # inflow and outflow faces
