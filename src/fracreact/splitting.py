@@ -21,7 +21,7 @@ from .chemistry import ReactionParams, lambda_minus, react_cell
 from .constitutive import PhysParams
 from .discretize import (Topology, boundary_transmissibilities,
                          transmissibilities)
-from .errors import FracReactError
+from .errors import FracReactError, NumericError
 from .physics import (FieldState, darcy_step, heat_step, solute_ad_step,
                       solute_coefficients, transport_step, _resolve_bc)
 
@@ -173,6 +173,10 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
             theta_new, _ = heat_step(
                 problem.top, state, conn_flux, bnd_flux, pore_star, state.pore,
                 params, bc, dt)
+            if np.any(theta_new <= 0):
+                dof = int(np.argmax(theta_new <= 0))
+                raise NumericError(f"non-positive temperature "
+                                   f"{theta_new[dof]:.6g} at dof {dof}")
         except FracReactError as exc:
             raise _annotate(5, "heat", exc)
     else:

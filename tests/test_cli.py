@@ -256,6 +256,15 @@ class TestCli:
         assert main(["run", cfg, "--out", out_dir]) == 0
         assert os.path.exists(os.path.join(out_dir, "case_balance.csv"))
 
+    def test_run_fails_cleanly_when_heat_cools_below_zero(self, tmp_path,
+                                                          capsys):
+        with open(os.path.join(CONFIGS, "test1d_pulse.ini")) as fh:
+            text = fh.read().replace("heat = dirichlet 1.0", "heat = flux 5.0")
+        cfg = _write(tmp_path, text)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert re.match(r"error: .*step 5 \(heat\).* at dof \d+$",
+                        capsys.readouterr().err)
+
     def test_run_unknown_target(self, capsys):
         assert main(["run", "missing_scenario"]) == 1
         assert "error:" in capsys.readouterr().err
