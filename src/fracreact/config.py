@@ -60,6 +60,9 @@ _BC_KEYS = {"flow", "heat", "solute"}
 # initial values that must be positive; all others but ``p`` must not be
 # negative
 _POSITIVE_INITIAL = {"theta", "fracture_aperture", "intersection_aperture"}
+# initial values of fracture and intersection dofs
+_LOWER_DIM_INITIAL = {"fracture_aperture", "intersection_aperture",
+                      "fracture_w", "intersection_w"}
 _HEADER = re.compile(r"\s*\[([^\]]+)\]")
 
 
@@ -288,6 +291,10 @@ def parse_config(path) -> Scenario:
     init = cp["initial"] if "initial" in cp else {}
     if "initial" in cp:
         _check_keys(src, cp, "initial", _INITIAL_KEYS)
+        if dim == 1:
+            for key in sorted(_LOWER_DIM_INITIAL & set(init)):
+                src.error(f"initial.{key}", "interval domains have no "
+                          "fractures or intersections")
 
     def init_float(key, default):
         value = _get_float(src, "initial", key, init.get(key, str(default)))

@@ -127,6 +127,29 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=re.escape(keypath + ":")):
             parse_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("key", ["fracture_aperture",
+                                     "intersection_aperture", "fracture_w",
+                                     "intersection_w"])
+    def test_fracture_initial_value_rejected_on_interval(self, tmp_path, key):
+        text = MINIMAL + f"\n[initial]\n{key} = 0.5\n"
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"initial.{key}: interval")):
+            parse_config(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("line", ["fracture_aperture = 0.0",
+                                      "intersection_aperture = -1e-3",
+                                      "fracture_w = -1.0",
+                                      "intersection_w = -1.0"])
+    def test_fracture_initial_value_range_on_rectangle(self, tmp_path, line):
+        # on MINIMAL's interval these keys stop at the domain check above,
+        # so their range checks are exercised on a fractured rectangle
+        with open(os.path.join(CONFIGS, "single_fracture_injection.ini")) as fh:
+            text = fh.read().replace("[initial]\n", f"[initial]\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"initial.{key}: must be")):
+            parse_config(_write(tmp_path, text))
+
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigurationError, match="unknown section"):
             parse_config(_write(tmp_path, MINIMAL + "\n[extras]\nfoo = 1\n"))
