@@ -218,6 +218,12 @@ class TestDivergence:
         assert np.sum(div) == pytest.approx(0.0, abs=1e-13)
 
 
+def boundary_tags(mesh):
+    """Boundary face id -> segment name."""
+    return {int(f): mesh.tag_names[mesh.face_tag[f]]
+            for f in np.nonzero(mesh.face_tag >= 0)[0]}
+
+
 def test_boundary_faces_by_tag_partition(network):
     mesh, top = network
     tags = np.asarray(top.seg_names)[top.b_seg]
@@ -230,12 +236,6 @@ def test_boundary_faces_by_tag_partition(network):
 # ---------------------------------------------------------------------------
 # reference: the per-face loop the index arithmetic of build_topology
 # replaced
-
-
-def boundary_tags(mesh):
-    """Boundary face id -> segment name."""
-    return {int(f): mesh.tag_names[mesh.face_tag[f]]
-            for f in np.nonzero(mesh.face_tag >= 0)[0]}
 
 
 def _reference_topology(mesh):
