@@ -3,9 +3,7 @@
 Sections: ``[domain] [params] [chemistry] [fracture.N] [bc.NAME]
 [initial] [time] [output]``; keys are lowercase snake-case. Unknown
 sections or keys are errors, reported with their key path and, where
-possible, the line in the file. Data sets may declare ``unitless =
-true`` in ``[output]`` to record that the values are artificial and
-carry no units.
+possible, the line in the file.
 
 Example::
 
@@ -55,7 +53,7 @@ _INITIAL_KEYS = {"p", "theta", "u", "w", "fracture_aperture",
                  "intersection_aperture", "fracture_w", "intersection_w",
                  "u_region", "w_region"}
 _TIME_KEYS = {"t_end", "num_steps"}
-_OUTPUT_KEYS = {"name", "every", "unitless"}
+_OUTPUT_KEYS = {"name", "every"}
 _BC_KEYS = {"flow", "heat", "solute"}
 # initial values that must be positive; all others but ``p`` must not be
 # negative
@@ -120,15 +118,6 @@ def _get_int(src: _Source, section, key, raw):
         return int(raw)
     except ValueError:
         src.error(f"{section}.{key}", f"expected an integer, got {raw!r}")
-
-
-def _get_bool(src: _Source, section, key, raw):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    src.error(f"{section}.{key}", f"expected a boolean, got {raw!r}")
 
 
 def _check_keys(src: _Source, cp, section, allowed):
@@ -322,21 +311,17 @@ def parse_config(path) -> Scenario:
     # --- output -------------------------------------------------------------
     name = os.path.splitext(os.path.basename(path))[0]
     every = 10
-    unitless = True
     if "output" in cp:
         _check_keys(src, cp, "output", _OUTPUT_KEYS)
         out = cp["output"]
         name = out.get("name", name).strip()
         every = _get_int(src, "output", "every", out.get("every", "10"))
-        unitless = _get_bool(src, "output", "unitless",
-                             out.get("unitless", "true"))
 
     problem = Problem(top=top, state0=state, grid=grid, params=params,
                       reaction=reaction, bc=bc, eta=make_eta(top, params),
                       reaction_scheme=scheme)
     return Scenario(name=name, description=f"configured scenario from {path}",
-                    mesh=mesh, problem=problem, output_every=every,
-                    unitless=unitless)
+                    mesh=mesh, problem=problem, output_every=every)
 
 
 def _parse_fractures(src: _Source, cp) -> list[list[tuple[float, float]]]:

@@ -27,9 +27,10 @@ EPS_MIN = 1e-12
 class PhysParams:
     """Physical constants and constitutive-law coefficients.
 
-    Units are SI unless a scenario declares itself unitless. Fracture
-    reference values (``kgamma0`` etc.) are evaluated at the initial
-    aperture ``epsgamma0``; intersections carry their own analogues.
+    Units are SI, except in data sets that are unitless by construction
+    (see :mod:`fracreact.scenarios`). Fracture reference values
+    (``kgamma0`` etc.) are evaluated at the initial aperture
+    ``epsgamma0``; intersections carry their own analogues.
     """
 
     mu: float = 1.0              # Pa*s, water viscosity

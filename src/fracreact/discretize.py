@@ -195,23 +195,20 @@ def _safe_resistance(dist, coef):
 
 def transmissibilities(top: Topology, cell_coef, interface_resist=None):
     """Per-connection transmissibility from per-dof coefficients and an
-    optional per-connection interface resistance (per unit area)."""
+    optional per-connection interface resistance (per unit area); a
+    blocked side (infinite resistance) gives zero."""
     coef = np.asarray(cell_coef, dtype=float)
     r = _safe_resistance(top.di, coef[top.ci]) + _safe_resistance(top.dj, coef[top.cj])
     if interface_resist is not None:
         r = r + np.asarray(interface_resist, dtype=float)
-    with np.errstate(divide="ignore"):
-        t = np.where(np.isinf(r), 0.0, top.area / np.where(r > 0, r, np.inf))
-    # zero total resistance only happens for degenerate input
-    return t
+    return top.area / r
 
 
 def boundary_transmissibilities(top: Topology, cell_coef):
-    """Half-cell transmissibility per boundary face (Dirichlet closure)."""
+    """Half-cell transmissibility per boundary face (Dirichlet closure);
+    zero where the cell is blocked."""
     coef = np.asarray(cell_coef, dtype=float)
-    r = _safe_resistance(top.b_dist, coef[top.b_dof])
-    with np.errstate(divide="ignore"):
-        return np.where(np.isinf(r), 0.0, top.b_area / np.where(r > 0, r, np.inf))
+    return top.b_area / _safe_resistance(top.b_dist, coef[top.b_dof])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 Systems at desk scale stay below a few 10^4 unknowns, so a sparse LU
 factorisation is the default path; it is deterministic across reruns on
 the same platform, which the output regression tests rely on.
+
+Every solve meets one rule, with no fallback: the normwise residual
+``||Ax - b|| / ||b||`` is at most ``DEFAULT_TOL``, or ``solve`` raises
+NumericError. The mass audit of the splitting scheme thus never rests
+on a solve that missed it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericError
 
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,47 +43,28 @@ def assemble_arrays(rows, cols, vals, n: int, rhs=None) -> SparseSystem:
     return SparseSystem(matrix=mat, rhs=b)
 
 
-def solve(system: SparseSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Direct sparse solve with an explicit residual check.
+def solve(system: SparseSystem) -> np.ndarray:
+    """Direct sparse LU solve with one acceptance rule.
 
-    Raises NumericError (with the achieved residual) on singular or
-    ill-conditioned systems; failure is never silent.
+    The solution is returned when the normwise residual
+    ``||Ax - b|| / ||b||`` (``||b||`` taken as 1 when b = 0) is at most
+    ``DEFAULT_TOL``. Otherwise, and on non-finite input or output or a
+    failed factorisation, NumericError is raised; failure is never
+    silent.
     """
     a, b = system.matrix, system.rhs
     if not np.all(np.isfinite(a.data)) or not np.all(np.isfinite(b)):
         raise NumericError("non-finite entries in linear system")
     try:
         with np.errstate(all="ignore"):
-            lu = spla.splu(a.tocsc())
-            x = lu.solve(b)
+            x = spla.splu(a.tocsc()).solve(b)
     except RuntimeError as exc:
         raise NumericError(f"sparse factorisation failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise NumericError("solver produced non-finite solution (singular system)")
     bnorm = np.linalg.norm(b)
-    scale = bnorm if bnorm > 0 else 1.0
-    res = np.linalg.norm(a @ x - b) / scale
-    # a few rounds of iterative refinement recover the last digits on
-    # badly scaled systems (aperture contrasts span many decades)
-    for _ in range(3):
-        if res <= tol:
-            break
-        with np.errstate(all="ignore"):
-            dx = lu.solve(b - a @ x)
-        if not np.all(np.isfinite(dx)):
-            break
-        x = x + dx
-        res = np.linalg.norm(a @ x - b) / scale
-    if res > tol:
-        # On strongly graded coefficient fields (clogged cells next to
-        # open fractures) the normwise residual is limited by the matrix
-        # scaling; fall back to the componentwise backward error, which
-        # is scaling-invariant.
-        r = np.abs(a @ x - b)
-        denom = np.abs(a) @ np.abs(x) + np.abs(b)
-        backward = float(np.max(r / np.where(denom > 0, denom, 1.0)))
-        if backward > 1e-12:
-            raise NumericError(
-                f"linear solve residual {res:.3e} exceeds tolerance "
-                f"{tol:.3e} (componentwise backward error {backward:.3e})")
+    res = np.linalg.norm(a @ x - b) / (bnorm if bnorm > 0 else 1.0)
+    if res > DEFAULT_TOL:
+        raise NumericError(f"linear solve residual {res:.3e} exceeds "
+                           f"tolerance {DEFAULT_TOL:.3e}")
     return x

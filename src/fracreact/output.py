@@ -200,13 +200,14 @@ def read_vtk_cell_data(path) -> dict[str, np.ndarray]:
 
 class OutputWriter:
     """Run sink combining the balance CSV (every step) and VTK
-    snapshots (every ``every`` steps plus first and last)."""
+    snapshots (every ``scenario.output_every`` steps plus first and
+    last)."""
 
-    def __init__(self, out_dir, scenario, every: int | None = None):
+    def __init__(self, out_dir, scenario):
         os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
         self.scenario = scenario
-        self.every = scenario.output_every if every is None else int(every)
+        self.every = scenario.output_every
         self.balance = BalanceWriter(
             os.path.join(out_dir, f"{scenario.name}_balance.csv"))
         self.top = scenario.problem.top

@@ -157,7 +157,7 @@ def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,
 
     system = assemble_arrays(np.concatenate(rows), np.concatenate(cols),
                              np.concatenate(vals), top.layout.ndof, rhs)
-    x = solve(system, tol=1e-10)
+    x = solve(system)
 
     xb = x[bd]
     bnd_total = np.where(ess, t_bnd * (xb - g), g * top.b_area)

@@ -36,7 +36,6 @@ class Scenario:
     mesh: MixedDimMesh
     problem: Problem
     output_every: int = 10
-    unitless: bool = True
 
     def with_grid(self, grid: TimeGrid) -> "Scenario":
         return replace(self, problem=replace(self.problem, grid=grid))

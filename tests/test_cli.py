@@ -73,7 +73,6 @@ class TestParseConfig:
         scenario = parse_config(_write(tmp_path, MINIMAL))
         assert scenario.name == "case"
         assert scenario.output_every == 10
-        assert scenario.unitless is True
         assert scenario.problem.reaction.lambda0 == 10.0   # default rate law
         assert scenario.problem.grid.num_steps == 4
 

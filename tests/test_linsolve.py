@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracreact import physics
 from fracreact.errors import NumericError
-from fracreact.linsolve import assemble_arrays, solve
+from fracreact.linsolve import DEFAULT_TOL, assemble_arrays, solve
+from fracreact.scenarios import get_scenario
+from fracreact.splitting import TimeGrid, run
 
 
 def _tridiagonal(diag, off):
@@ -101,6 +104,17 @@ class TestSolve:
         x = solve(assemble_arrays(range(25), range(25), scales, 25, rhs=rhs))
         np.testing.assert_allclose(x, np.arange(25), rtol=1e-12)
 
+    def test_residual_above_tolerance_raises(self):
+        # LU on the 12x12 Hilbert matrix leaves a normwise residual of
+        # 1.6e-9, above the tolerance
+        n = 12
+        rows, cols = np.indices((n, n))
+        sys_ = assemble_arrays(rows.ravel(), cols.ravel(),
+                               1.0 / (rows + cols + 1.0).ravel(), n,
+                               rhs=np.ones(n))
+        with pytest.raises(NumericError, match="residual"):
+            solve(sys_)
+
     @settings(max_examples=30)
     @given(st.integers(2, 12), st.integers(0, 10_000))
     def test_recovers_planted_solution(self, n, seed):
@@ -112,3 +126,24 @@ class TestSolve:
         x = solve(assemble_arrays(rows.ravel(), cols.ravel(), a.ravel(), n,
                                   rhs=a @ x_true))
         np.testing.assert_allclose(x, x_true, rtol=1e-9, atol=1e-12)
+
+
+def test_residual_margin_on_clogging_network(monkeypatch):
+    # residuals grow as the network clogs; every solve of a long run
+    # stays an order of magnitude under the tolerance
+    residuals = []
+
+    def recording_solve(system):
+        x = solve(system)
+        b = system.rhs
+        bnorm = np.linalg.norm(b)
+        residuals.append(np.linalg.norm(system.matrix @ x - b)
+                         / (bnorm if bnorm > 0 else 1.0))
+        return x
+
+    monkeypatch.setattr(physics, "solve", recording_solve)
+    scenario = get_scenario("multi_fracture_injection")
+    grid = scenario.problem.grid
+    run(scenario.with_grid(TimeGrid(grid.t_end * 4, grid.num_steps * 4)).problem)
+    assert len(residuals) == 3 * 200
+    assert max(residuals) <= DEFAULT_TOL / 10

@@ -2,6 +2,7 @@
 round-trip / determinism guarantees."""
 
 import filecmp
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestOutputWriter:
         scenario = scenario.with_grid(
             type(scenario.problem.grid)(scenario.problem.grid.t_end
                                         * num_steps / 60, num_steps))
-        writer = OutputWriter(out_dir, scenario, every=every)
+        writer = OutputWriter(out_dir, replace(scenario, output_every=every))
         try:
             run(scenario.problem, sinks=[writer])
         finally:
@@ -124,7 +125,7 @@ class TestOutputWriter:
 
     def test_csv_delta_matches_reports(self, tmp_path):
         scenario = get_scenario("test1d_pulse")
-        writer = OutputWriter(tmp_path, scenario, every=30)
+        writer = OutputWriter(tmp_path, replace(scenario, output_every=30))
         try:
             _, reports = run(scenario.problem, sinks=[writer])
         finally:

@@ -280,7 +280,7 @@ def _reference_darcy(top, pore_star, pore_n, params, bc, dt):
                              np.concatenate([np.atleast_1d(c) for c in cols]),
                              np.concatenate([np.atleast_1d(v) for v in vals]),
                              lay.ndof, rhs)
-    p = solve(system, tol=1e-10)
+    p = solve(system)
 
     conn_flux = t_conn * (p[top.ci] - p[top.cj])
     bnd_flux = np.empty(len(top.b_dof))
@@ -336,7 +336,7 @@ def _reference_transport(top, coef, resist, acc_new, acc_old, x_old,
                              np.concatenate(cols + [brows]),
                              np.concatenate(vals + [np.asarray(bvals)]),
                              lay.ndof, rhs)
-    x = solve(system, tol=1e-10)
+    x = solve(system)
 
     bnd_total = np.zeros(len(top.b_dof))
     for i, kind in enumerate(kinds):
