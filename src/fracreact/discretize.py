@@ -73,7 +73,7 @@ def build_layout(mesh: MixedDimMesh) -> DofLayout:
     frac_of_dof = np.full(ndof, -1, dtype=int)
     for fid, frac in enumerate(mesh.fractures):
         sl = slice(offsets[fid], offsets[fid] + frac.num_cells)
-        measure[sl] = frac.measures
+        measure[sl] = mesh.face_areas[frac.cell_faces]
         frac_of_dof[sl] = fid
     return DofLayout(n_bulk=nb, frac_offsets=tuple(offsets),
                      inter_offset=inter_offset, ndof=ndof,
@@ -145,21 +145,22 @@ def build_topology(mesh: MixedDimMesh) -> Topology:
 
     for fid, frac in enumerate(mesh.fractures):
         off = layout.frac_offsets[fid]
-        a, b = frac.internal.T
-        ci.append(off + a); cj.append(off + b); kind.append(np.full(len(a), FRAC))
+        half = mesh.face_areas[frac.cell_faces] / 2.0
+        a = np.arange(frac.num_cells - 1)      # internal face a | a+1
+        ci.append(off + a); cj.append(off + a + 1); kind.append(np.full(len(a), FRAC))
         area.append(np.ones(len(a)))
-        di.append(frac.measures[a] / 2.0); dj.append(frac.measures[b] / 2.0)
+        di.append(half[:-1]); dj.append(half[1:])
         low.append(np.full(len(a), -1)); face_id.append(np.full(len(a), -1))
         for tip in frac.tips:
             tdof = off + tip.cell
-            half = frac.measures[tip.cell] / 2.0
             if tip.kind == TIP_INTERSECTION:
                 idof = layout.inter_offset + tip.intersection
                 ci.append([tdof]); cj.append([idof]); kind.append([INTERSECT])
-                area.append([1.0]); di.append([half]); dj.append([0.0])
+                area.append([1.0]); di.append([half[tip.cell]]); dj.append([0.0])
                 low.append([idof]); face_id.append([-1])
             elif tip.kind == TIP_BOUNDARY:
-                b_dof.append([tdof]); b_area.append([1.0]); b_dist.append([half])
+                b_dof.append([tdof]); b_area.append([1.0])
+                b_dist.append([half[tip.cell]])
                 b_seg.append([mesh.tag_names.index(tip.tag)]); b_face.append([-1])
             # immersed tips impose no flow: no connection at all
 
@@ -181,13 +182,15 @@ def build_topology(mesh: MixedDimMesh) -> Topology:
 
 def _safe_resistance(dist, coef):
     """dist/coef with the conventions dist == 0 -> 0 and coef == 0 ->
-    infinite resistance (blocked side)."""
+    infinite resistance (blocked side); a NaN coefficient at dist > 0
+    gives NaN, which the linear solve rejects."""
     dist = np.asarray(dist, dtype=float)
     coef = np.asarray(coef, dtype=float)
     out = np.zeros_like(dist)
     active = dist > 0
-    blocked = active & (coef <= 0)
-    ok = active & (coef > 0)
+    nonpositive = coef <= 0
+    blocked = active & nonpositive
+    ok = active & ~nonpositive
     out[ok] = dist[ok] / coef[ok]
     out[blocked] = np.inf
     return out

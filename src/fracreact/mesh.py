@@ -1,9 +1,10 @@
 """Mixed-dimensional meshes.
 
 A mesh holds an n-dimensional bulk grid (n = 1 or 2), a set of
-(n-1)-dimensional fracture grids whose cells coincide geometrically with
-interior bulk faces (conforming coupling), and 0-dimensional
-intersection objects where fracture arms meet. Fracture sides are
+(n-1)-dimensional fracture arms and 0-dimensional intersection objects
+where arms meet. An arm is a run of interior bulk faces, consecutive
+faces sharing a node (conforming coupling): each face is one fracture
+cell, whose centroid and measure are the face's own. Fracture sides are
 realised by duplicating the coupled bulk face: the face's two adjacent
 bulk cells each exchange with the fracture cell through their own copy,
 and the direct cell-to-cell connection across the fracture is removed.
@@ -20,7 +21,8 @@ the (up to) two cells of each face, and per face its boundary segment
 as an integer code into the sorted ``tag_names`` (-1 on interior
 faces) and its fracture cell as a (fracture, local) pair (-1 where the
 face carries none). Fractures and intersections are small tuples of
-objects.
+objects; an arm stores only its face ids and its two tips, since all
+its geometry is that of the bulk faces.
 
 Meshes are immutable after construction and safe to share across
 threads; construction is single-threaded.
@@ -36,7 +38,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 SNAP_REL_TOL = 1e-9
-GEOM_REL_TOL = 1e-12
 
 TIP_BOUNDARY = "boundary"
 TIP_IMMERSED = "immersed"
@@ -57,12 +58,14 @@ class Tip:
 
 @dataclass(frozen=True)
 class Fracture:
-    """A single fracture arm, discretised into bulk-face-shaped cells."""
+    """A single fracture arm: a run of bulk faces, one per fracture cell.
+
+    Cell k is face ``cell_faces[k]``, with that face's centroid and area
+    as its centroid and measure; cells k and k+1 are adjacent along the
+    arm.
+    """
 
     cell_faces: np.ndarray         # bulk face id per fracture cell
-    centroids: np.ndarray          # (nc, dim)
-    measures: np.ndarray           # (nc,)
-    internal: np.ndarray           # (ni, 2) adjacent fracture-cell pairs
     tips: tuple[Tip, ...]
 
     @property
@@ -257,23 +260,20 @@ def build_structured_2d(nx: int, ny: int,
                        f"({tuple(poly[k - 1])} -> {tuple(poly[k])})"
             if cur == prev:
                 raise ConfigurationError(f"{seg_desc}: zero-length segment")
-            if cur[0] == prev[0]:       # vertical: covers x-normal faces
-                ix = cur[0]
-                step = 1 if cur[1] > prev[1] else -1
-                for iy in range(prev[1], cur[1], step):
-                    j = iy if step > 0 else iy - 1
-                    edges_path.append(node(ix, j))     # face above node
-                    nodes_path.append((ix, j + 1) if step > 0 else (ix, j))
-            elif cur[1] == prev[1]:     # horizontal: covers y-normal faces
-                iy = cur[1]
-                step = 1 if cur[0] > prev[0] else -1
-                for ix in range(prev[0], cur[0], step):
-                    j = ix if step > 0 else ix - 1
-                    edges_path.append(nv + iy * nx + j)   # right of node
-                    nodes_path.append((j + 1, iy) if step > 0 else (j, iy))
-            else:
+            if cur[0] != prev[0] and cur[1] != prev[1]:
                 raise ConfigurationError(
                     f"{seg_desc}: not aligned with any grid line")
+            # Unit steps from node to node: a vertical step covers the
+            # x-normal face above its lower node, a horizontal step the
+            # y-normal face right of its left node.
+            sx = (cur[0] > prev[0]) - (cur[0] < prev[0])
+            sy = (cur[1] > prev[1]) - (cur[1] < prev[1])
+            ix, iy = prev
+            while (ix, iy) != cur:
+                lx, ly = min(ix, ix + sx), min(iy, iy + sy)
+                edges_path.append(node(lx, ly) if sx == 0 else nv + ly * nx + lx)
+                ix, iy = ix + sx, iy + sy
+                nodes_path.append((ix, iy))
             prev = cur
         paths.append((nodes_path, edges_path))
 
@@ -325,10 +325,6 @@ def build_structured_2d(nx: int, ny: int,
                 "must coincide with interior faces")
         face_frac[cfaces, 0] = fid
         face_frac[cfaces, 1] = np.arange(ncf)
-        cents = face_centroids[cfaces].copy()
-        meas = face_areas[cfaces].copy()
-        internal = np.column_stack([np.arange(ncf - 1), np.arange(1, ncf)]) \
-            if ncf > 1 else np.empty((0, 2), dtype=int)
         tips = []
         for nd, cell_id in ((arm_nodes[0], 0), (arm_nodes[-1], ncf - 1)):
             if nd in inter_index:
@@ -340,9 +336,7 @@ def build_structured_2d(nx: int, ny: int,
                     tips.append(Tip(cell=cell_id, kind=TIP_BOUNDARY, tag=tag))
                 else:
                     tips.append(Tip(cell=cell_id, kind=TIP_IMMERSED))
-        frac_objs.append(Fracture(cell_faces=cfaces, centroids=cents,
-                                  measures=meas, internal=internal,
-                                  tips=tuple(tips)))
+        frac_objs.append(Fracture(cell_faces=cfaces, tips=tuple(tips)))
 
     intersections = tuple(Intersection(point=points[node(*nd)])
                           for nd in inter_nodes)
@@ -358,7 +352,6 @@ def validate_conformity(mesh: MixedDimMesh) -> list[str]:
     """Check every structural invariant; returns a list of violation
     messages, empty iff the mesh is valid."""
     report: list[str] = []
-    tol = GEOM_REL_TOL * max(mesh.diameter, 1.0)
     nf = mesh.num_faces
 
     def flag(mask, message, ids=None):
@@ -388,15 +381,6 @@ def validate_conformity(mesh: MixedDimMesh) -> list[str]:
         expected[cf, 1] = local
         flag(mesh.face_cells[cf, 1] < 0,
              f"fracture {fid} sits on boundary faces at its cells", local)
-        dc = np.linalg.norm(frac.centroids[local] - mesh.face_centroids[cf], axis=1)
-        dm = np.abs(frac.measures[local] - mesh.face_areas[cf])
-        off = (dc > tol) | (dm > tol)
-        if np.any(off):
-            report.append(
-                f"fracture {fid} cells {local[off].tolist()} are not "
-                f"geometrically identical to bulk faces {cf[off].tolist()} "
-                f"(centroid offset up to {dc.max():.3e}, measure offset up "
-                f"to {dm.max():.3e})")
         if len(frac.tips) != 2:
             report.append(f"fracture {fid} must have exactly 2 tips")
         for tip in frac.tips:

@@ -3,9 +3,12 @@
 The CSV carries the mass audit (columns step, time, mass_u, mass_w,
 influx, outflux, delta_m; 17 significant digits so reruns are
 byte-identical and round-trips are lossless). VTK files are written per
-subdomain as ``<scenario>_<subdomain>_<step:06d>.vtk`` with cell arrays
-p, theta, u, w, pore_fraction and the products pore_fraction_u,
-pore_fraction_w.
+subdomain (the bulk, each fracture arm, all intersections) as
+``<scenario>_<subdomain>_<step:06d>.vtk`` with cell arrays p, theta, u,
+w, pore_fraction and the products pore_fraction_u, pore_fraction_w.
+The geometry never changes during a run, so ``vtk_pieces`` formats the
+points and cells of every subdomain once and each snapshot adds only
+its cell data.
 """
 
 from __future__ import annotations
@@ -127,48 +130,38 @@ def _write_lines(path, lines) -> None:
         raise FracReactError(f"cannot write VTK file {path}: {exc}") from exc
 
 
-def write_vtk_snapshot(out_dir, scenario_name: str, step: int,
-                       mesh: MixedDimMesh, top: Topology,
-                       state: FieldState) -> list[str]:
-    """Write one legacy-VTK file per subdomain; returns the paths."""
+def vtk_pieces(mesh: MixedDimMesh, top: Topology) -> list[tuple]:
+    """One (title, file tag, POINTS and CELLS text, dof selection) per
+    subdomain file: the bulk, each fracture arm as a polyline whose
+    cells have their own two copies of the end points, and all
+    intersections as vertices in one file."""
     lay = top.layout
-    written = []
-
-    # bulk
-    ctype = _VTK_QUAD if mesh.dim == 2 else _VTK_LINE
-    lines = _vtk_header(f"{scenario_name} bulk step {step}")
-    lines += _vtk_points(mesh.points)
-    lines += _vtk_cells(mesh.cell_vertices, ctype)
-    lines += _vtk_cell_data(_field_arrays(state, lay.is_bulk))
-    path = os.path.join(out_dir, f"{scenario_name}_bulk_{step:06d}.vtk")
-    _write_lines(path, lines)
-    written.append(path)
-
-    # fractures: one polyline file per arm, each cell with its own two
-    # copies of the end points
+    parts = [("bulk", "bulk", mesh.points, mesh.cell_vertices,
+              _VTK_QUAD if mesh.dim == 2 else _VTK_LINE, lay.is_bulk)]
     for fid, frac in enumerate(mesh.fractures):
         pts = mesh.points[mesh.face_vertices[frac.cell_faces]].reshape(-1, mesh.dim)
-        sel = np.zeros(lay.ndof, dtype=bool)
-        off = lay.frac_offsets[fid]
-        sel[off:off + frac.num_cells] = True
-        lines = _vtk_header(f"{scenario_name} fracture {fid} step {step}")
-        lines += _vtk_points(pts)
-        lines += _vtk_cells(np.arange(len(pts)).reshape(-1, 2), _VTK_LINE)
-        lines += _vtk_cell_data(_field_arrays(state, sel))
-        path = os.path.join(
-            out_dir, f"{scenario_name}_fracture{fid:02d}_{step:06d}.vtk")
-        _write_lines(path, lines)
-        written.append(path)
-
-    # intersections: all points in one file
+        parts.append((f"fracture {fid}", f"fracture{fid:02d}", pts,
+                      np.arange(len(pts)).reshape(-1, 2), _VTK_LINE,
+                      lay.frac_of_dof == fid))
     if mesh.intersections:
         pts = np.asarray([inter.point for inter in mesh.intersections])
-        lines = _vtk_header(f"{scenario_name} intersections step {step}")
-        lines += _vtk_points(pts)
-        lines += _vtk_cells(np.arange(len(pts)).reshape(-1, 1), _VTK_VERTEX)
-        lines += _vtk_cell_data(_field_arrays(state, lay.is_inter))
-        path = os.path.join(
-            out_dir, f"{scenario_name}_intersections_{step:06d}.vtk")
+        parts.append(("intersections", "intersections", pts,
+                      np.arange(len(pts)).reshape(-1, 1), _VTK_VERTEX,
+                      lay.is_inter))
+    return [(title, tag, "\n".join(_vtk_points(pts) + _vtk_cells(cells, ctype)),
+             sel) for title, tag, pts, cells, ctype, sel in parts]
+
+
+def write_vtk_snapshot(out_dir, scenario_name: str, step: int, pieces,
+                       state: FieldState) -> list[str]:
+    """Write one legacy-VTK file per piece of ``vtk_pieces``; returns the
+    paths."""
+    written = []
+    for title, tag, geometry, sel in pieces:
+        lines = _vtk_header(f"{scenario_name} {title} step {step}")
+        lines.append(geometry)
+        lines += _vtk_cell_data(_field_arrays(state, sel))
+        path = os.path.join(out_dir, f"{scenario_name}_{tag}_{step:06d}.vtk")
         _write_lines(path, lines)
         written.append(path)
     return written
@@ -210,14 +203,14 @@ class OutputWriter:
         self.every = scenario.output_every
         self.balance = BalanceWriter(
             os.path.join(out_dir, f"{scenario.name}_balance.csv"))
-        self.top = scenario.problem.top
+        self.pieces = vtk_pieces(scenario.mesh, scenario.problem.top)
         self.last_step = scenario.problem.grid.num_steps
 
     def __call__(self, step, time, state, report) -> None:
         self.balance.write(report)
         if self.every > 0 and (step % self.every == 0 or step == self.last_step):
             write_vtk_snapshot(self.out_dir, self.scenario.name, step,
-                               self.scenario.mesh, self.top, state)
+                               self.pieces, state)
 
     def close(self) -> None:
         self.balance.close()

@@ -195,11 +195,12 @@ def flow_coefficients(top: Topology, pore_star, params: PhysParams):
 def _interface_resistance(eps, kappa, scale):
     """scale*eps/kappa with a blocked (infinite) interface at zero
     permeability; the transmissibility then collapses to zero and the
-    lower-dimensional object decouples."""
+    lower-dimensional object decouples. A NaN permeability gives NaN,
+    so the linear solve rejects it."""
     eps = np.asarray(eps, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     out = np.full(eps.shape, np.inf)
-    ok = kappa > 0
+    ok = ~(kappa <= 0)
     out[ok] = scale * eps[ok] / kappa[ok]
     return out
 

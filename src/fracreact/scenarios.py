@@ -74,7 +74,7 @@ def dof_centroids(mesh: MixedDimMesh, top: Topology) -> np.ndarray:
     out[:lay.n_bulk] = mesh.cell_centroids
     for fid, frac in enumerate(mesh.fractures):
         off = lay.frac_offsets[fid]
-        out[off:off + frac.num_cells] = frac.centroids
+        out[off:off + frac.num_cells] = mesh.face_centroids[frac.cell_faces]
     for iid, inter in enumerate(mesh.intersections):
         out[lay.inter_offset + iid] = inter.point
     return out
@@ -192,14 +192,15 @@ def splitting_problem_factory(da: float):
     return factory
 
 
-def build_test1d_splitting(da: float = 1.0, num_steps: int = 50) -> Scenario:
+def build_test1d_splitting() -> Scenario:
     """Simplified transport-reaction case used for the splitting-error
-    study (linear rate, frozen porosity, given velocity)."""
-    problem = splitting_problem_factory(da)(num_steps)
+    study (linear rate, frozen porosity, given velocity). Runs at Da = 1
+    with 50 steps."""
+    problem = splitting_problem_factory(1.0)(50)
     mesh = build_interval_mesh(1.0, 100)
     return Scenario(name="test1d_splitting",
                     description="1D linear-reaction case for the "
-                                "splitting-error study (Da configurable)",
+                                "splitting-error study",
                     mesh=mesh, problem=problem, output_every=10)
 
 
@@ -230,11 +231,11 @@ def _point_source_problem(da: float, *, u_in: float, w0: float,
     return mesh, problem
 
 
-def build_test1d_point_source_precip(da: float = 0.662) -> Scenario:
+def build_test1d_point_source_precip() -> Scenario:
     """Injection of oversaturated water at the domain centre with a
     diverging velocity field; precipitation localises around the source
-    as the Damkohler number grows."""
-    mesh, problem = _point_source_problem(da, u_in=2.0, w0=0.0,
+    as the Damkohler number grows. Runs at Da = 0.662."""
+    mesh, problem = _point_source_problem(0.662, u_in=2.0, w0=0.0,
                                           grid=TimeGrid(2.0, 50))
     return Scenario(name="test1d_point_source_precip",
                     description="point injection of oversaturated water; "
@@ -242,10 +243,11 @@ def build_test1d_point_source_precip(da: float = 0.662) -> Scenario:
                     mesh=mesh, problem=problem, output_every=10)
 
 
-def build_test1d_point_source_dissolve(da: float = 0.662) -> Scenario:
+def build_test1d_point_source_dissolve() -> Scenario:
     """Injection of clean water into a uniformly precipitated column;
-    the dissolution footprint shrinks as the Damkohler number grows."""
-    mesh, problem = _point_source_problem(da, u_in=0.0, w0=2.0,
+    the dissolution footprint shrinks as the Damkohler number grows.
+    Runs at Da = 0.662."""
+    mesh, problem = _point_source_problem(0.662, u_in=0.0, w0=2.0,
                                           grid=TimeGrid(8.0, 64))
     return Scenario(name="test1d_point_source_dissolve",
                     description="point injection of clean water; "

@@ -11,6 +11,7 @@ from fracreact.discretize import (BULK, COUPLING, FRAC, INTERSECT,
                                   assemble_mixed_divergence,
                                   boundary_transmissibilities, build_layout,
                                   build_topology, transmissibilities)
+from fracreact.errors import NumericError
 from fracreact.mesh import (TIP_BOUNDARY, TIP_INTERSECTION,
                             build_interval_mesh, build_structured_2d)
 from fracreact.physics import FLUX, OUTFLOW, transport_step
@@ -121,6 +122,23 @@ class TestTransmissibility:
         coef = np.full(top.layout.ndof, 2.0)
         tb = boundary_transmissibilities(top, coef)
         np.testing.assert_allclose(tb, 1.0 / (0.1 / 2.0))
+
+    def test_nan_coefficient_reaches_the_solve(self):
+        top = build_topology(build_interval_mesh(1.0, 4))
+        t = transmissibilities(top, [1.0, np.nan, 1.0, 1.0])
+        assert np.isnan(t[:2]).all() and t[2] == 4.0
+        ones = np.ones(4)
+        with pytest.raises(NumericError, match="non-finite entries"):
+            transport_step(top, t, boundary_transmissibilities(top, ones),
+                           ones, ones, ones, np.zeros(3), np.zeros(2), 1.0,
+                           [FLUX, FLUX], np.zeros(2), 0.1)
+
+    def test_nan_boundary_coefficient_gives_nan(self):
+        top = build_topology(build_interval_mesh(1.0, 4))
+        coef = np.ones(4)
+        coef[top.b_dof[0]] = np.nan
+        tb = boundary_transmissibilities(top, coef)
+        assert np.isnan(tb[0]) and tb[1] == 8.0
 
     def test_tpfa_bulk_skips_fracture_faces(self, network):
         # a face cut by a fracture carries two couplings, no bulk connection
@@ -270,11 +288,12 @@ def _reference_topology(mesh):
 
     for fid, frac in enumerate(mesh.fractures):
         off = layout.frac_offsets[fid]
-        for a, b in frac.internal:
-            ci.append(off + int(a)); cj.append(off + int(b)); kind.append(FRAC)
+        measures = mesh.face_areas[frac.cell_faces]
+        for a in range(frac.num_cells - 1):
+            ci.append(off + a); cj.append(off + a + 1); kind.append(FRAC)
             area.append(1.0)
-            di.append(frac.measures[int(a)] / 2.0)
-            dj.append(frac.measures[int(b)] / 2.0)
+            di.append(measures[a] / 2.0)
+            dj.append(measures[a + 1] / 2.0)
             low.append(-1); face_id.append(-1)
         for tip in frac.tips:
             tdof = off + tip.cell
@@ -282,11 +301,11 @@ def _reference_topology(mesh):
                 idof = layout.inter_offset + tip.intersection
                 ci.append(tdof); cj.append(idof); kind.append(INTERSECT)
                 area.append(1.0)
-                di.append(frac.measures[tip.cell] / 2.0); dj.append(0.0)
+                di.append(measures[tip.cell] / 2.0); dj.append(0.0)
                 low.append(idof); face_id.append(-1)
             elif tip.kind == TIP_BOUNDARY:
                 b_dof.append(tdof); b_area.append(1.0)
-                b_dist.append(frac.measures[tip.cell] / 2.0)
+                b_dist.append(measures[tip.cell] / 2.0)
                 b_tag.append(tip.tag); b_face.append(-1)
 
     return layout, dict(

@@ -2,14 +2,18 @@
 round-trip / determinism guarantees."""
 
 import filecmp
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fracreact.discretize import build_topology
+from fracreact.mesh import build_structured_2d
 from fracreact.output import (BALANCE_COLUMNS, BalanceWriter, OutputWriter,
                               read_balance, read_vtk_cell_data,
-                              write_vtk_snapshot)
+                              vtk_pieces, write_vtk_snapshot)
+from fracreact.physics import FieldState
 from fracreact.scenarios import get_scenario
 from fracreact.splitting import StepReport, run
 
@@ -50,8 +54,9 @@ class TestVtk:
     def test_snapshot_files_and_round_trip(self, tmp_path):
         scenario = get_scenario("single_fracture_injection")
         state = scenario.problem.state0
-        files = write_vtk_snapshot(tmp_path, scenario.name, 7, scenario.mesh,
-                                   scenario.problem.top, state)
+        files = write_vtk_snapshot(
+            tmp_path, scenario.name, 7,
+            vtk_pieces(scenario.mesh, scenario.problem.top), state)
         names = sorted(f.name for f in map(_as_path, files))
         assert f"{scenario.name}_bulk_000007.vtk" in names
         assert any("fracture00" in n for n in names)
@@ -69,20 +74,51 @@ class TestVtk:
 
     def test_interval_snapshot(self, tmp_path):
         scenario = get_scenario("test1d_pulse")
-        write_vtk_snapshot(tmp_path, scenario.name, 0, scenario.mesh,
-                           scenario.problem.top, scenario.problem.state0)
+        write_vtk_snapshot(tmp_path, scenario.name, 0,
+                           vtk_pieces(scenario.mesh, scenario.problem.top),
+                           scenario.problem.state0)
         data = read_vtk_cell_data(tmp_path / "test1d_pulse_bulk_000000.vtk")
         assert len(data["u"]) == 100
 
     def test_vtk_header_is_legacy_ascii(self, tmp_path):
         scenario = get_scenario("test1d_pulse")
-        write_vtk_snapshot(tmp_path, scenario.name, 0, scenario.mesh,
-                           scenario.problem.top, scenario.problem.state0)
+        write_vtk_snapshot(tmp_path, scenario.name, 0,
+                           vtk_pieces(scenario.mesh, scenario.problem.top),
+                           scenario.problem.state0)
         lines = (tmp_path / "test1d_pulse_bulk_000000.vtk").read_text() \
             .splitlines()
         assert lines[0].startswith("# vtk DataFile Version")
         assert lines[2] == "ASCII"
         assert lines[3] == "DATASET UNSTRUCTURED_GRID"
+
+    def test_crossing_snapshot_bytes(self, tmp_path):
+        # four arms and one intersection; every coordinate and field
+        # value is an exact binary fraction, so the bytes are fixed
+        mesh = build_structured_2d(4, 4, fractures=[
+            [(0.25, 0.5), (0.75, 0.5)], [(0.5, 0.25), (0.5, 0.75)]])
+        top = build_topology(mesh)
+        k = np.arange(top.layout.ndof)
+        state = FieldState(p=k / 4.0, theta=1.0 + k / 8.0, u=k / 16.0,
+                           w=k / 32.0, pore=0.5 - k / 128.0)
+        files = write_vtk_snapshot(tmp_path, "cross", 0,
+                                   vtk_pieces(mesh, top), state)
+        digests = {_as_path(f).name:
+                   hashlib.sha256(_as_path(f).read_bytes()).hexdigest()
+                   for f in files}
+        assert digests == {
+            "cross_bulk_000000.vtk":
+                "8bc5da7fe020da65d0e6555ccab73fce58996b115086499021568d75d4498ea8",
+            "cross_fracture00_000000.vtk":
+                "bd45d5a29b6cd3ce16ed00761d3be70ce9cc0726740a11ac86b6d36ba54b9527",
+            "cross_fracture01_000000.vtk":
+                "84ee5ca62cf3c89f36a4f977de2c51ec06fd60ec071c22aca2a4c088261d8e41",
+            "cross_fracture02_000000.vtk":
+                "81ddda77a7b3cc863bce260eaf5aea188b863c3a9df94f07e05f9e7e9a135bc7",
+            "cross_fracture03_000000.vtk":
+                "2a39b1136a9142922a55312e679c6eb02815d0c73bb33607e7d06a0b3c1808d0",
+            "cross_intersections_000000.vtk":
+                "938175430419588edb46af3cb94a68337dccfb77eed9eed0db65b0d296439e1b",
+        }
 
 
 def _as_path(f):

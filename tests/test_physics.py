@@ -12,7 +12,8 @@ from fracreact.errors import WellPosednessError
 from fracreact.linsolve import assemble_arrays, solve
 from fracreact.mesh import build_interval_mesh, build_structured_2d
 from fracreact.physics import (DIRICHLET, FLUX, OUTFLOW, PRESSURE, SegmentBC,
-                               _resolve_bc, darcy_step, flow_coefficients,
+                               _interface_resistance, _resolve_bc,
+                               darcy_step, flow_coefficients,
                                heat_step, solute_ad_step, solute_coefficients,
                                transport_step)
 from fracreact.scenarios import make_state
@@ -146,6 +147,12 @@ class TestFlowCoefficients:
         cpl = resist[resist > 0]
         np.testing.assert_allclose(
             cpl, params.mu * params.epsgamma0 / params.kappagamma0)
+
+    def test_nan_interface_permeability_gives_nan(self):
+        # zero permeability blocks the interface; NaN must not pass as that
+        resist = _interface_resistance([0.5, 0.5, 0.5], [np.nan, 0.0, 2.0], 3.0)
+        assert np.isnan(resist[0])
+        assert resist[1] == np.inf and resist[2] == 0.75
 
 
 class TestTransport:
