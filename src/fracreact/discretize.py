@@ -24,10 +24,12 @@ outward on boundary faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import MeshConformityError
+from .linsolve import SolvePlan, build_plan
 from .mesh import TIP_BOUNDARY, TIP_INTERSECTION, MixedDimMesh
 
 # connection kinds
@@ -103,6 +105,12 @@ class Topology:
     @property
     def n_conn(self) -> int:
         return len(self.ci)
+
+    @cached_property
+    def plan(self) -> SolvePlan:
+        """Ordering and pattern of every linear system on this topology,
+        built at the first solve and kept for the run."""
+        return build_plan(self.layout.ndof, self.ci, self.cj)
 
 
 def build_topology(mesh: MixedDimMesh) -> Topology:

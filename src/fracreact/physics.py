@@ -117,26 +117,27 @@ def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,
     boundary fluxes consistent with the solve).
 
     Entries are listed diagonal, diffusion, advection, then face by face
-    (essential before advective outflow), and boundary data is added
-    face by face: duplicates are summed in this order, which keeps the
-    result reproducible to the bit.
+    (essential before advective outflow), each by its slot in the
+    topology's solve plan, and boundary data is added face by face.
+    ``assemble_arrays`` sums duplicates with ``np.bincount`` in this
+    listed order, which keeps the result reproducible to the bit.
     """
+    plan = top.plan
     ci, cj, bd = top.ci, top.cj, top.b_dof
     kinds, g = np.asarray(kinds), np.asarray(values, dtype=float)
     ess = (kinds == PRESSURE) | (kinds == DIRICHLET)
     out = kinds == OUTFLOW
     st = scale * t_conn
-    rows, cols, vals = [ci, ci, cj, cj], [ci, cj, cj, ci], [st, -st, st, -st]
+    conn = [plan.diag[ci], plan.ij, plan.diag[cj], plan.ji]
+    slots, vals = list(conn), [st, -st, st, -st]
     if diag is not None:
-        idx = np.arange(top.layout.ndof)
-        rows, cols, vals = [idx] + rows, [idx] + cols, [diag] + vals
+        slots, vals = [plan.diag] + slots, [diag] + vals
     if flux is None:
         fb = np.zeros(len(bd))
         adv_out = adv_in = np.zeros(len(bd), dtype=bool)
     else:
         fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
-        rows += [ci, ci, cj, cj]
-        cols += [ci, cj, cj, ci]
+        slots += conn
         vals += [scale * fp, scale * fm, -scale * fm, -scale * fp]
         fb = bnd_flux
         leaving, upwind = fb >= 0, ess | out
@@ -147,17 +148,16 @@ def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,
     bd2 = np.array([bd, bd]).T
     sel = np.array([ess, adv_out]).T
     st_b, sfb = scale * t_bnd, scale * fb
-    rows.append(bd2[sel])
-    cols.append(rows[-1])
+    slots.append(plan.diag[bd2[sel]])
     vals.append(np.array([st_b, sfb]).T[sel])
     sel = np.array([ess | (kinds == FLUX), adv_in]).T
     term = np.array([np.where(ess, st_b * g, (-scale * g) * top.b_area),
                      -sfb * g]).T
     np.add.at(rhs, bd2[sel], term[sel])
 
-    system = assemble_arrays(np.concatenate(rows), np.concatenate(cols),
-                             np.concatenate(vals), top.layout.ndof, rhs)
-    x = solve(system)
+    system = assemble_arrays(plan, np.concatenate(slots), np.concatenate(vals),
+                             rhs)
+    x = solve(system)[plan.perm]
 
     xb = x[bd]
     bnd_total = np.where(ess, t_bnd * (xb - g), g * top.b_area)

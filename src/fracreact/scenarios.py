@@ -15,6 +15,7 @@ polylines so the grids stay conforming.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -392,10 +393,13 @@ _BUILDERS = {
 
 
 def list_scenarios() -> dict[str, str]:
-    """Name -> one-line description of every built-in scenario."""
+    """Name -> one-line description of every built-in scenario: the
+    first sentence of its builder's docstring, which ends at a period
+    followed by whitespace or the end (so "Da = 0.662" stays whole)."""
     out = {}
     for name, builder in _BUILDERS.items():
-        out[name] = " ".join((builder.__doc__ or "").split(".")[0].split())
+        first = re.split(r"\.(?:\s|$)", builder.__doc__ or "", maxsplit=1)[0]
+        out[name] = " ".join(first.split())
     return out
 
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from fracreact import scenarios
 from fracreact.cli import main
 from fracreact.config import parse_config
 from fracreact.errors import ConfigurationError
@@ -53,6 +54,15 @@ class TestRegistry:
             "single_fracture_opening", "multi_fracture_injection",
             "multi_fracture_opening"}
         assert all(desc for desc in registry.values())
+
+    def test_description_keeps_decimal_numbers(self, monkeypatch):
+        def build_case():
+            """Point source run to equilibrium (Da = 0.662) on 100
+            cells. Second sentence."""
+
+        monkeypatch.setitem(scenarios._BUILDERS, "decimal_case", build_case)
+        assert list_scenarios()["decimal_case"] == (
+            "Point source run to equilibrium (Da = 0.662) on 100 cells")
 
     def test_unknown_scenario(self):
         with pytest.raises(KeyError, match="known scenarios"):

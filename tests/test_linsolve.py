@@ -1,12 +1,18 @@
-"""Sparse assembly and the direct solver with its residual guarantee."""
+"""Solve plans, sparse assembly and the direct solver with its residual
+guarantee."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from fracreact import physics
+from fracreact import linsolve, physics
+from fracreact.discretize import build_topology
 from fracreact.errors import NumericError
-from fracreact.linsolve import DEFAULT_TOL, assemble_arrays, solve
+from fracreact.linsolve import DEFAULT_TOL, assemble_arrays, build_plan, solve
+from fracreact.mesh import build_interval_mesh
+from fracreact.physics import FLUX, transport_step
 from fracreact.scenarios import get_scenario
 from fracreact.splitting import TimeGrid, run
 
@@ -22,62 +28,80 @@ def _tridiagonal(diag, off):
     return rows, cols, vals
 
 
+def _system(rows, cols, vals, n, rhs=None):
+    """Plan and permuted system of a triplet matrix whose off-diagonal
+    entries are the plan's connections, one each."""
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    off = rows != cols
+    plan = build_plan(n, rows[off], cols[off])
+    slots = np.empty(len(rows), dtype=int)
+    slots[off] = plan.ij
+    slots[~off] = plan.diag[rows[~off]]
+    b = np.zeros(n) if rhs is None else np.asarray(rhs, dtype=float)
+    return plan, assemble_arrays(plan, slots, np.asarray(vals, dtype=float), b)
+
+
+def _solve(rows, cols, vals, n, rhs=None):
+    """Solution of a triplet system in its own ordering."""
+    plan, sys_ = _system(rows, cols, vals, n, rhs)
+    return solve(sys_)[plan.perm]
+
+
 class TestAssemble:
     def test_duplicates_summed(self):
-        sys_ = assemble_arrays([0, 0], [0, 0], [1.0, 1.0], 1)
+        _, sys_ = _system([0, 0], [0, 0], [1.0, 1.0], 1)
         assert sys_.matrix.toarray()[0, 0] == 2.0
 
     def test_empty_system_is_singular(self):
-        sys_ = assemble_arrays([], [], [], 2)
+        _, sys_ = _system([], [], [], 2)
         with pytest.raises(NumericError):
             solve(sys_)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            assemble_arrays([0], [5], [1.0], 2)
+            build_plan(2, [0], [5])
         with pytest.raises(IndexError):
-            assemble_arrays([-1], [0], [1.0], 2)
+            build_plan(2, [-1], [0])
 
     def test_tridiagonal_pattern(self):
-        mat = assemble_arrays(*_tridiagonal(np.full(4, 2.0), -1.0), 4)
+        plan, sys_ = _system(*_tridiagonal(np.full(4, 2.0), -1.0), 4)
         expect = np.array([[2, -1, 0, 0], [-1, 2, -1, 0],
                            [0, -1, 2, -1], [0, 0, -1, 2]], dtype=float)
-        np.testing.assert_array_equal(mat.matrix.toarray(), expect)
+        # entry (i, j) of the system sits at (perm[i], perm[j])
+        got = sys_.matrix.toarray()[np.ix_(plan.perm, plan.perm)]
+        np.testing.assert_array_equal(got, expect)
 
 
 class TestSolve:
     def test_identity(self):
-        sys_ = assemble_arrays(range(3), range(3), np.ones(3), 3,
-                               rhs=[1.0, 2.0, 3.0])
-        np.testing.assert_allclose(solve(sys_), [1.0, 2.0, 3.0], rtol=1e-14)
+        x = _solve(range(3), range(3), np.ones(3), 3, rhs=[1.0, 2.0, 3.0])
+        np.testing.assert_allclose(x, [1.0, 2.0, 3.0], rtol=1e-14)
 
     def test_laplacian_manufactured_solution(self):
         # -u'' = 2 with u(0)=u(1)=0 has u = x(1-x); the centred 3-point
         # stencil is exact for quadratics
         n = 20
         h = 1.0 / (n + 1)
-        sys_ = assemble_arrays(*_tridiagonal(np.full(n, 2.0 / h**2),
-                                             -1.0 / h**2), n,
-                               rhs=np.full(n, 2.0))
+        got = _solve(*_tridiagonal(np.full(n, 2.0 / h**2), -1.0 / h**2), n,
+                     rhs=np.full(n, 2.0))
         x = np.linspace(h, 1.0 - h, n)
-        np.testing.assert_allclose(solve(sys_), x * (1.0 - x),
-                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(got, x * (1.0 - x), rtol=1e-12, atol=1e-14)
 
     def test_singular_matrix_raises(self):
-        sys_ = assemble_arrays([0, 1], [0, 0], [1.0, 1.0], 2, rhs=[1.0, 2.0])
+        _, sys_ = _system([0, 1], [0, 0], [1.0, 1.0], 2, rhs=[1.0, 2.0])
         with pytest.raises(NumericError):
             solve(sys_)
 
     def test_nonfinite_rejected(self):
-        sys_ = assemble_arrays([0], [0], [np.nan], 1, rhs=[1.0])
+        _, sys_ = _system([0], [0], [np.nan], 1, rhs=[1.0])
         with pytest.raises(NumericError):
             solve(sys_)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         n = 30
-        sys_ = assemble_arrays(*_tridiagonal(4.0 + rng.random(n), -1.0), n,
-                               rhs=rng.random(n))
+        _, sys_ = _system(*_tridiagonal(4.0 + rng.random(n), -1.0), n,
+                          rhs=rng.random(n))
         x1 = solve(sys_)
         x2 = solve(sys_)
         assert np.array_equal(x1, x2)
@@ -93,25 +117,23 @@ class TestSolve:
                 trip.append((i, i - 1, -rng.uniform(0.0, 2.0)))
             if i < n - 1:
                 trip.append((i, i + 1, -rng.uniform(0.0, 2.0)))
-        x = solve(assemble_arrays(*zip(*trip), n,
-                                  rhs=rng.uniform(0.0, 1.0, n)))
+        x = _solve(*zip(*trip), n, rhs=rng.uniform(0.0, 1.0, n))
         assert np.all(x >= -1e-14)
 
     def test_badly_scaled_system(self):
         # transmissibility contrasts spanning many decades still solve
         scales = np.logspace(0, 12, 25)
         rhs = scales * np.arange(25)
-        x = solve(assemble_arrays(range(25), range(25), scales, 25, rhs=rhs))
+        x = _solve(range(25), range(25), scales, 25, rhs=rhs)
         np.testing.assert_allclose(x, np.arange(25), rtol=1e-12)
 
     def test_residual_above_tolerance_raises(self):
-        # LU on the 12x12 Hilbert matrix leaves a normwise residual of
-        # 1.6e-9, above the tolerance
+        # LU on the 12x12 Hilbert matrix, in the plan's ordering, leaves
+        # a normwise residual of 1.9e-9, above the tolerance
         n = 12
         rows, cols = np.indices((n, n))
-        sys_ = assemble_arrays(rows.ravel(), cols.ravel(),
-                               1.0 / (rows + cols + 1.0).ravel(), n,
-                               rhs=np.ones(n))
+        _, sys_ = _system(rows.ravel(), cols.ravel(),
+                          1.0 / (rows + cols + 1.0).ravel(), n, rhs=np.ones(n))
         with pytest.raises(NumericError, match="residual"):
             solve(sys_)
 
@@ -123,8 +145,7 @@ class TestSolve:
         a += n * np.eye(n)          # diagonally dominant, well conditioned
         x_true = rng.random(n)
         rows, cols = np.indices((n, n))
-        x = solve(assemble_arrays(rows.ravel(), cols.ravel(), a.ravel(), n,
-                                  rhs=a @ x_true))
+        x = _solve(rows.ravel(), cols.ravel(), a.ravel(), n, rhs=a @ x_true)
         np.testing.assert_allclose(x, x_true, rtol=1e-9, atol=1e-12)
 
 
@@ -147,3 +168,56 @@ def test_residual_margin_on_clogging_network(monkeypatch):
     run(scenario.with_grid(TimeGrid(grid.t_end * 4, grid.num_steps * 4)).problem)
     assert len(residuals) == 3 * 200
     assert max(residuals) <= DEFAULT_TOL / 10
+
+
+def test_plan_keys_past_int32_range():
+    # the plan keys entries by perm[col]*n + perm[row]; from n = 46,341
+    # on that passes the int32 range, so 32-bit keys would scramble the
+    # pattern
+    top = build_topology(build_interval_mesh(1.0, 50_000))
+    n, ci, cj = top.layout.ndof, top.ci, top.cj
+    rng = np.random.default_rng(7)
+    t_conn = rng.uniform(0.5, 2.0, top.n_conn)
+    flux = rng.uniform(-1.0, 1.0, top.n_conn)
+    acc_new, acc_old = rng.uniform(1.0, 2.0, n), rng.uniform(1.0, 2.0, n)
+    x_old = rng.uniform(0.0, 1.0, n)
+    nb, dt = len(top.b_dof), 0.1
+    x, _ = transport_step(top, t_conn, np.ones(nb), acc_new, acc_old, x_old,
+                          flux, np.zeros(nb), 1.0, np.full(nb, FLUX),
+                          np.zeros(nb), dt)
+
+    # the same operator assembled from triplets: diagonal, TPFA
+    # diffusion, upwind advection; zero-flux boundaries add nothing
+    fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
+    rows = np.concatenate([np.arange(n), ci, ci, cj, cj, ci, ci, cj, cj])
+    cols = np.concatenate([np.arange(n), ci, cj, cj, ci, ci, cj, cj, ci])
+    vals = np.concatenate([acc_new] + [dt * v for v in (
+        t_conn, -t_conn, t_conn, -t_conn, fp, fm, -fm, -fp)])
+    a = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+    want = spla.spsolve(a, acc_old * x_old)
+    assert top.plan.perm.dtype == np.int64
+    np.testing.assert_allclose(x, want, rtol=1e-12)
+
+
+def test_plan_built_once_per_topology(monkeypatch):
+    # three factorisations a step; the first run of a problem adds one
+    # for the ordering, a second run on the same topology none
+    calls = []
+
+    class CountingSpla:
+        def splu(self, *args, **kwargs):
+            calls.append(kwargs.get("permc_spec"))
+            return spla.splu(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "spla", CountingSpla())
+    scenario = get_scenario("multi_fracture_injection")
+    grid = scenario.problem.grid
+    k = 4
+    problem = scenario.with_grid(TimeGrid(k * grid.dt, k)).problem
+    run(problem)
+    assert len(calls) == 3 * k + 1
+    assert calls[0] == "MMD_AT_PLUS_A"
+    assert calls[1:] == ["NATURAL"] * (3 * k)
+    del calls[:]
+    run(problem)
+    assert calls == ["NATURAL"] * (3 * k)

@@ -265,6 +265,21 @@ def _reference_bc(top, bc, equation):
     return kinds, values
 
 
+def _plan_slots(top, rows, cols):
+    """Slot of each (row, col) entry in the topology's solve plan."""
+    plan = top.plan
+    slot = {(i, i): s for i, s in enumerate(plan.diag)}
+    slot.update({(i, j): s for i, j, s in zip(top.ci, top.cj, plan.ij)})
+    slot.update({(j, i): s for i, j, s in zip(top.ci, top.cj, plan.ji)})
+    return np.array([slot[r, c] for r, c in zip(rows, cols)], dtype=int)
+
+
+def _reference_solve(top, rows, cols, vals, rhs):
+    """Solution of the listed entries, summed in listed order."""
+    system = assemble_arrays(top.plan, _plan_slots(top, rows, cols), vals, rhs)
+    return solve(system)[top.plan.perm]
+
+
 def _reference_darcy(top, pore_star, pore_n, params, bc, dt):
     lay = top.layout
     coef, resist = flow_coefficients(top, pore_star, params)
@@ -283,11 +298,9 @@ def _reference_darcy(top, pore_star, pore_n, params, bc, dt):
             rhs[d] += t_bnd[i] * values[i]
         else:
             rhs[d] -= values[i] * top.b_area[i]
-    system = assemble_arrays(np.concatenate([np.atleast_1d(r) for r in rows]),
-                             np.concatenate([np.atleast_1d(c) for c in cols]),
-                             np.concatenate([np.atleast_1d(v) for v in vals]),
-                             lay.ndof, rhs)
-    p = solve(system)
+    p = _reference_solve(top, np.concatenate([np.atleast_1d(r) for r in rows]),
+                         np.concatenate([np.atleast_1d(c) for c in cols]),
+                         np.concatenate([np.atleast_1d(v) for v in vals]), rhs)
 
     conn_flux = t_conn * (p[top.ci] - p[top.cj])
     bnd_flux = np.empty(len(top.b_dof))
@@ -339,11 +352,9 @@ def _reference_transport(top, coef, resist, acc_new, acc_old, x_old,
         elif kind == FLUX:
             rhs[d] -= dt * g * top.b_area[i]
     brows = np.asarray(brows, dtype=int)
-    system = assemble_arrays(np.concatenate(rows + [brows]),
-                             np.concatenate(cols + [brows]),
-                             np.concatenate(vals + [np.asarray(bvals)]),
-                             lay.ndof, rhs)
-    x = solve(system)
+    x = _reference_solve(top, np.concatenate(rows + [brows]),
+                         np.concatenate(cols + [brows]),
+                         np.concatenate(vals + [np.asarray(bvals)]), rhs)
 
     bnd_total = np.zeros(len(top.b_dof))
     for i, kind in enumerate(kinds):
