@@ -8,8 +8,7 @@ from .constitutive import (PhysParams, cubic_law, effective_conductivity,
                            update_pore_fraction)
 from .errors import (ConfigurationError, FracReactError, MeshConformityError,
                      NumericError, SingularUpdateError, WellPosednessError)
-from .mesh import (MixedDimMesh, build_interval_mesh, build_structured_2d,
-                   validate_conformity)
+from .mesh import MixedDimMesh, build_interval_mesh, build_structured_2d
 from .physics import FieldState, SegmentBC
 from .scenarios import Scenario, get_scenario, list_scenarios
 from .splitting import (Problem, StepReport, TimeGrid, advance_step, run,
@@ -25,5 +24,5 @@ __all__ = [
     "build_structured_2d", "cubic_law", "effective_conductivity",
     "effective_heat_capacity", "get_scenario", "kozeny_permeability",
     "list_scenarios", "net_rate", "react_cell", "run",
-    "splitting_error_study", "update_pore_fraction", "validate_conformity",
+    "splitting_error_study", "update_pore_fraction",
 ]

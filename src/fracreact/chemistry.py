@@ -8,9 +8,10 @@ which makes the per-cell ODE system
 discontinuous across w = 0 for undersaturated solute. The integrator
 performs a tentative explicit step and clips a tentative precipitate
 below zero to w = 0, where the sliding branch (zero rate while
-r(u) < 1) holds it for the rest of the step. For explicit Euler this is
-exact: it equals locating the crossing on the linear dense output and
-sliding from there, because the sliding rate is zero. For Heun a
+r(u) < 1) holds it for the rest of the step. For explicit Euler the
+clip is exact without computing the crossing time: it equals locating
+the crossing on the linear dense output and sliding from there, because
+the sliding rate is zero. For Heun a
 crossing in the first stage pins w = 0 for the rest of the step, and a
 crossing of the averaged step is clipped the same way. The returned
 precipitate is never negative and u + w is conserved exactly.
@@ -81,24 +82,6 @@ def net_rate(u, w, theta, rp: ReactionParams):
     s = saturation_ratio(u, rp) - 1.0
     heaviside = np.asarray(w, dtype=float) > 0.0
     return lam * (np.maximum(s, 0.0) + heaviside * np.minimum(s, 0.0))
-
-
-def locate_crossing(w_start, rate, dt):
-    """Fraction xi of the step at which the linear dense output
-    w(xi) = w_start + xi*dt*rate hits zero.
-
-    Exact for explicit Euler. Requires the tentative step to actually
-    cross: w_start >= 0 and w_start + dt*rate < 0.
-    """
-    w_start = np.asarray(w_start, dtype=float)
-    rate = np.asarray(rate, dtype=float)
-    if np.any(w_start < 0) or np.any(w_start + dt * rate >= 0):
-        raise ValueError("locate_crossing requires w_start >= 0 and a "
-                         "tentative step that crosses w = 0")
-    out = w_start / (-rate * dt)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def _clip_to_equilibrium(u, w, w_tent, rp: ReactionParams):

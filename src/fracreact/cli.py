@@ -123,6 +123,9 @@ def _cmd_study(args) -> int:
                              f"got {args.nt_list!r}")
     if len(nt_list) < 2:
         raise FracReactError("--nt-list needs at least two step counts")
+    if min(nt_list) < 1 or len(set(nt_list)) < len(nt_list):
+        raise FracReactError(f"--nt-list step counts must be positive and "
+                             f"distinct, got {args.nt_list!r}")
     header = "Da      " + "".join(f"  N={n:<12d}" for n in nt_list) + "  order"
     print("splitting error (max-norm vs monolithic reference at final time)")
     print(header)

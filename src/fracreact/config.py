@@ -320,8 +320,7 @@ def parse_config(path) -> Scenario:
     problem = Problem(top=top, state0=state, grid=grid, params=params,
                       reaction=reaction, bc=bc, eta=make_eta(top, params),
                       reaction_scheme=scheme)
-    return Scenario(name=name, description=f"configured scenario from {path}",
-                    mesh=mesh, problem=problem, output_every=every)
+    return Scenario(name=name, mesh=mesh, problem=problem, output_every=every)
 
 
 def _parse_fractures(src: _Source, cp) -> list[list[tuple[float, float]]]:

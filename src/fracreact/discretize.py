@@ -220,23 +220,3 @@ def boundary_transmissibilities(top: Topology, cell_coef):
     zero where the cell is blocked."""
     coef = np.asarray(cell_coef, dtype=float)
     return top.b_area / _safe_resistance(top.b_dist, coef[top.b_dof])
-
-
-# ---------------------------------------------------------------------------
-# divergence
-
-
-def assemble_mixed_divergence(top: Topology, conn_flux, boundary_flux=None):
-    """Net outflow per dof over all dimensions.
-
-    Bulk cells sum their face fluxes; fracture cells additionally lose
-    the incoming coupling fluxes; intersections collect the incident
-    fracture tip fluxes. Immersed tips contribute nothing.
-    """
-    div = np.zeros(top.layout.ndof)
-    np.add.at(div, top.ci, np.asarray(conn_flux, dtype=float))
-    np.add.at(div, top.cj, -np.asarray(conn_flux, dtype=float))
-    if boundary_flux is not None:
-        np.add.at(div, top.b_dof, np.asarray(boundary_flux, dtype=float))
-    return div
-

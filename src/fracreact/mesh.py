@@ -13,8 +13,9 @@ Meshes are built by ``build_interval_mesh`` (1D, no fractures) and
 ``build_structured_2d`` (Cartesian grid with axis-aligned fracture
 polylines). Each fracture arm ends in two tips whose kind is one of
 ``TIP_BOUNDARY``, ``TIP_IMMERSED`` or ``TIP_INTERSECTION``; an
-intersection tip carries the index of its intersection object.
-``validate_conformity`` checks the structural invariants of a built mesh.
+intersection tip carries the index of its intersection object. The
+builders reject what would break conformity: a segment off the grid
+lines, two arms on one face, a fracture on the domain boundary.
 
 The bulk mesh is stored as plain index arrays: cell and face vertices,
 the (up to) two cells of each face, and per face its boundary segment
@@ -101,10 +102,6 @@ class MixedDimMesh:
     @property
     def num_cells(self) -> int:
         return len(self.cell_volumes)
-
-    @property
-    def num_faces(self) -> int:
-        return len(self.face_areas)
 
     @property
     def diameter(self) -> float:
@@ -342,60 +339,3 @@ def build_structured_2d(nx: int, ny: int,
                           for nd in inter_nodes)
     return replace(mesh, fractures=tuple(frac_objs),
                    intersections=intersections)
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def validate_conformity(mesh: MixedDimMesh) -> list[str]:
-    """Check every structural invariant; returns a list of violation
-    messages, empty iff the mesh is valid."""
-    report: list[str] = []
-    nf = mesh.num_faces
-
-    def flag(mask, message, ids=None):
-        """Report the ``ids`` (default: the positions) where ``mask`` holds."""
-        if np.any(mask):
-            bad = np.nonzero(mask)[0] if ids is None else ids[mask]
-            report.append(f"{message} {bad.tolist()}")
-
-    flag(mesh.cell_volumes <= 0, "non-positive cell volumes at bulk cells")
-    flag(mesh.face_areas <= 0, "non-positive face areas at faces")
-    c0, c1 = mesh.face_cells.T
-    flag(c0 < 0, "no primary adjacent cell at faces")
-    flag((c1 < 0) & (mesh.face_tag < 0), "no boundary tag at boundary faces")
-    flag((c1 >= 0) & (mesh.face_tag >= 0), "a boundary tag at interior faces")
-
-    expected = np.full((nf, 2), -1)
-    coupled = np.zeros(nf, dtype=int)
-    referenced: set[int] = set()
-    for fid, frac in enumerate(mesh.fractures):
-        cf = np.asarray(frac.cell_faces)
-        known = (cf >= 0) & (cf < nf)
-        flag(~known, f"fracture {fid} references unknown faces at its cells")
-        local = np.nonzero(known)[0]
-        cf = cf[known]
-        np.add.at(coupled, cf, 1)
-        expected[cf, 0] = fid
-        expected[cf, 1] = local
-        flag(mesh.face_cells[cf, 1] < 0,
-             f"fracture {fid} sits on boundary faces at its cells", local)
-        if len(frac.tips) != 2:
-            report.append(f"fracture {fid} must have exactly 2 tips")
-        for tip in frac.tips:
-            if tip.kind == TIP_INTERSECTION:
-                if tip.intersection is None or \
-                        tip.intersection >= len(mesh.intersections):
-                    report.append(f"fracture {fid} tip references missing "
-                                  f"intersection {tip.intersection}")
-                referenced.add(tip.intersection)
-    flag(coupled > 1, "more than one fracture cell coupled to faces")
-    flag(np.any(mesh.face_frac != expected, axis=1),
-         "face_frac does not match the fracture definition at faces")
-
-    for iid in range(len(mesh.intersections)):
-        if iid not in referenced:
-            report.append(f"intersection {iid} is not referenced by any "
-                          f"fracture tip")
-    return report

@@ -167,30 +167,6 @@ def write_vtk_snapshot(out_dir, scenario_name: str, step: int, pieces,
     return written
 
 
-def read_vtk_cell_data(path) -> dict[str, np.ndarray]:
-    """Extract the CELL_DATA arrays from a legacy ASCII VTK file
-    (round-trip companion of write_vtk_snapshot)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    arrays: dict[str, np.ndarray] = {}
-    i = 0
-    n = None
-    while i < len(lines):
-        parts = lines[i].split()
-        if parts[:1] == ["CELL_DATA"]:
-            n = int(parts[1])
-        elif parts[:1] == ["SCALARS"] and n is not None:
-            name = parts[1]
-            i += 1  # LOOKUP_TABLE line
-            vals = [float(lines[i + 1 + k]) for k in range(n)]
-            arrays[name] = np.asarray(vals)
-            i += n
-        i += 1
-    if not arrays:
-        raise FracReactError(f"{path}: no CELL_DATA arrays found")
-    return arrays
-
-
 class OutputWriter:
     """Run sink combining the balance CSV (every step) and VTK
     snapshots (every ``scenario.output_every`` steps plus first and

@@ -6,8 +6,8 @@ system over all subdomains (bulk, fractures, intersections) of
     diag*x + scale*(TPFA diffusion + upwind advection) = rhs,
 
 closed on the boundary faces by per-face masks and solved with the
-direct sparse path. Darcy flow uses it with scale 1 and neither
-accumulation nor advection; heat, solute and the monolithic splitting
+direct sparse path. Darcy flow uses it with scale 1, a zero diagonal
+and zero advective fluxes; heat, solute and the monolithic splitting
 reference use it through the implicit Euler step ``transport_step``
 with scale dt. It returns the outward boundary fluxes consistent with
 the solve, which the mass audit uses.
@@ -77,11 +77,8 @@ class FieldState:
     bnd_flux: np.ndarray | None = None     # last outward Darcy boundary flux
 
     def copy(self) -> "FieldState":
-        return FieldState(
-            p=self.p.copy(), theta=self.theta.copy(), u=self.u.copy(),
-            w=self.w.copy(), pore=self.pore.copy(),
-            react_prev=None if self.react_prev is None else self.react_prev.copy(),
-            bnd_flux=None if self.bnd_flux is None else self.bnd_flux.copy())
+        return FieldState(**{name: None if value is None else value.copy()
+                             for name, value in vars(self).items()})
 
 
 def _resolve_bc(top: Topology, bc: BoundarySpec, equation: str):
@@ -103,7 +100,7 @@ def _resolve_bc(top: Topology, bc: BoundarySpec, equation: str):
 
 
 def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,
-                diag=None, flux=None, bnd_flux=None):
+                diag, flux, bnd_flux):
     """Assemble and solve
 
         diag*x + scale*(TPFA diffusion + upwind advection) = rhs
@@ -112,9 +109,8 @@ def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,
     ``dirichlet``; the datum also feeds advective inflow), ``outflow``
     (advective upwind only) and ``flux`` (outward total flux datum).
     ``flux`` and ``bnd_flux`` are the advective connection and boundary
-    fluxes; without them the operator is pure diffusion. ``rhs`` is
-    updated in place with the boundary data. Returns (x, outward
-    boundary fluxes consistent with the solve).
+    fluxes. ``rhs`` is updated in place with the boundary data. Returns
+    (x, outward boundary fluxes consistent with the solve).
 
     Entries are listed diagonal, diffusion, advection, then face by face
     (essential before advective outflow), each by its slot in the
@@ -127,27 +123,20 @@ def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,
     kinds, g = np.asarray(kinds), np.asarray(values, dtype=float)
     ess = (kinds == PRESSURE) | (kinds == DIRICHLET)
     out = kinds == OUTFLOW
+    leaving, upwind = bnd_flux >= 0, ess | out
+    adv_out, adv_in = upwind & leaving, upwind & ~leaving
     st = scale * t_conn
+    fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
     conn = [plan.diag[ci], plan.ij, plan.diag[cj], plan.ji]
-    slots, vals = list(conn), [st, -st, st, -st]
-    if diag is not None:
-        slots, vals = [plan.diag] + slots, [diag] + vals
-    if flux is None:
-        fb = np.zeros(len(bd))
-        adv_out = adv_in = np.zeros(len(bd), dtype=bool)
-    else:
-        fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
-        slots += conn
-        vals += [scale * fp, scale * fm, -scale * fm, -scale * fp]
-        fb = bnd_flux
-        leaving, upwind = fb >= 0, ess | out
-        adv_out, adv_in = upwind & leaving, upwind & ~leaving
+    slots = [plan.diag] + conn + conn
+    vals = [diag, st, -st, st, -st,
+            scale * fp, scale * fm, -scale * fm, -scale * fp]
 
     # one (essential, advective) pair of slots per face; boolean masks
     # select from the transposed pairs face by face
     bd2 = np.array([bd, bd]).T
     sel = np.array([ess, adv_out]).T
-    st_b, sfb = scale * t_bnd, scale * fb
+    st_b, sfb = scale * t_bnd, scale * bnd_flux
     slots.append(plan.diag[bd2[sel]])
     vals.append(np.array([st_b, sfb]).T[sel])
     sel = np.array([ess | (kinds == FLUX), adv_in]).T
@@ -160,10 +149,9 @@ def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,
     x = solve(system)[plan.perm]
 
     xb = x[bd]
-    bnd_total = np.where(ess, t_bnd * (xb - g), g * top.b_area)
-    if flux is not None:
-        adv = fb * np.where(leaving, xb, g)
-        bnd_total = np.where(ess, bnd_total + adv, np.where(out, adv, bnd_total))
+    adv = bnd_flux * np.where(leaving, xb, g)
+    bnd_total = np.where(ess, t_bnd * (xb - g) + adv,
+                         np.where(out, adv, g * top.b_area))
     return x, bnd_total
 
 
@@ -222,9 +210,11 @@ def darcy_step(top: Topology, pore_star, pore_n, params: PhysParams,
         raise WellPosednessError(
             "flow problem needs at least one essential pressure segment")
 
+    # no accumulation and no advection: zero diagonal and fluxes
     rhs = -(np.asarray(pore_star) - np.asarray(pore_n)) * lay.measure / dt
     p, bnd_flux = _tpfa_solve(top, t_conn, boundary_transmissibilities(top, coef),
-                              kinds, values, rhs, 1.0)
+                              kinds, values, rhs, 1.0, np.zeros(lay.ndof),
+                              np.zeros(top.n_conn), np.zeros(len(top.b_dof)))
     return p, t_conn * (p[top.ci] - p[top.cj]), bnd_flux
 
 
@@ -316,10 +306,9 @@ def solute_ad_step(top: Topology, state: FieldState, conn_flux, bnd_flux,
 
 
 def _transport_resistances(top: Topology, pore_star, normal_coef):
-    """Interface resistance eps/coef on couplings and intersections."""
+    """Interface resistance eps/coef on couplings and intersections;
+    ``PhysParams`` keeps the coefficient positive."""
     resist = np.zeros(top.n_conn)
     low = top.low_dof >= 0
-    resist[low] = _interface_resistance(
-        pore_star[top.low_dof[low]], np.full(np.count_nonzero(low), normal_coef),
-        1.0)
+    resist[low] = pore_star[top.low_dof[low]] / normal_coef
     return resist

@@ -33,10 +33,10 @@ class Scenario:
     """A named, fully configured simulation case."""
 
     name: str
-    description: str
     mesh: MixedDimMesh
     problem: Problem
     output_every: int = 10
+    description: str = ""      # accepted from callers, never read
 
     def with_grid(self, grid: TimeGrid) -> "Scenario":
         return replace(self, problem=replace(self.problem, grid=grid))
@@ -150,10 +150,7 @@ def build_test1d_pulse() -> Scenario:
     problem = Problem(top=top, state0=state, grid=TimeGrid(0.048, 60),
                       params=params, reaction=reaction, bc=bc,
                       eta=make_eta(top, params), solve_heat=False)
-    return Scenario(name="test1d_pulse",
-                    description="1D precipitation/wash-out pulse; "
-                                "machine-precision mass balance check",
-                    mesh=mesh, problem=problem, output_every=10)
+    return Scenario(name="test1d_pulse", mesh=mesh, problem=problem)
 
 
 def splitting_problem_factory(da: float):
@@ -199,10 +196,7 @@ def build_test1d_splitting() -> Scenario:
     with 50 steps."""
     problem = splitting_problem_factory(1.0)(50)
     mesh = build_interval_mesh(1.0, 100)
-    return Scenario(name="test1d_splitting",
-                    description="1D linear-reaction case for the "
-                                "splitting-error study",
-                    mesh=mesh, problem=problem, output_every=10)
+    return Scenario(name="test1d_splitting", mesh=mesh, problem=problem)
 
 
 def _point_source_problem(da: float, *, u_in: float, w0: float,
@@ -239,9 +233,7 @@ def build_test1d_point_source_precip() -> Scenario:
     mesh, problem = _point_source_problem(0.662, u_in=2.0, w0=0.0,
                                           grid=TimeGrid(2.0, 50))
     return Scenario(name="test1d_point_source_precip",
-                    description="point injection of oversaturated water; "
-                                "precipitate localisation vs Damkohler number",
-                    mesh=mesh, problem=problem, output_every=10)
+                    mesh=mesh, problem=problem)
 
 
 def build_test1d_point_source_dissolve() -> Scenario:
@@ -251,9 +243,7 @@ def build_test1d_point_source_dissolve() -> Scenario:
     mesh, problem = _point_source_problem(0.662, u_in=0.0, w0=2.0,
                                           grid=TimeGrid(8.0, 64))
     return Scenario(name="test1d_point_source_dissolve",
-                    description="point injection of clean water; "
-                                "dissolution footprint vs Damkohler number",
-                    mesh=mesh, problem=problem, output_every=10)
+                    mesh=mesh, problem=problem)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +280,7 @@ def build_single_fracture_injection() -> Scenario:
                       params=params, reaction=ReactionParams(),
                       bc=_square_bc(u_in=2.0), eta=make_eta(top, params))
     return Scenario(name="single_fracture_injection",
-                    description="single fracture clogging under hot "
-                                "solute injection",
-                    mesh=mesh, problem=problem, output_every=10)
+                    mesh=mesh, problem=problem)
 
 
 def build_single_fracture_opening() -> Scenario:
@@ -308,10 +296,7 @@ def build_single_fracture_opening() -> Scenario:
     problem = Problem(top=top, state0=state, grid=TimeGrid(5.0, 100),
                       params=params, reaction=ReactionParams(),
                       bc=_square_bc(u_in=0.0), eta=make_eta(top, params))
-    return Scenario(name="single_fracture_opening",
-                    description="fracture opening by clean-water "
-                                "dissolution of a precipitate block",
-                    mesh=mesh, problem=problem, output_every=10)
+    return Scenario(name="single_fracture_opening", mesh=mesh, problem=problem)
 
 
 def _fracture_network() -> list[list[tuple[float, float]]]:
@@ -351,9 +336,7 @@ def build_multi_fracture_injection() -> Scenario:
                       params=params, reaction=ReactionParams(),
                       bc=_square_bc(u_in=2.0), eta=make_eta(top, params))
     return Scenario(name="multi_fracture_injection",
-                    description="clogging of an intersecting fracture "
-                                "network under solute injection",
-                    mesh=mesh, problem=problem, output_every=10)
+                    mesh=mesh, problem=problem)
 
 
 def build_multi_fracture_opening() -> Scenario:
@@ -370,10 +353,7 @@ def build_multi_fracture_opening() -> Scenario:
     problem = Problem(top=top, state0=state, grid=TimeGrid(5.0, 100),
                       params=params, reaction=ReactionParams(),
                       bc=_square_bc(u_in=0.0), eta=make_eta(top, params))
-    return Scenario(name="multi_fracture_opening",
-                    description="opening of a precipitate-filled fracture "
-                                "network to a uniform aperture plateau",
-                    mesh=mesh, problem=problem, output_every=10)
+    return Scenario(name="multi_fracture_opening", mesh=mesh, problem=problem)
 
 
 # ---------------------------------------------------------------------------

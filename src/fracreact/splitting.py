@@ -220,19 +220,17 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
                             react_prev=np.asarray(w_star2 - w_half),
                             bnd_flux=bnd_flux)
 
-    mass_new = (total_mass(lay, pore_new, u_new)
-                + total_mass(lay, pore_new, w_new))
+    mass_u = total_mass(lay, pore_new, u_new)
+    mass_w = total_mass(lay, pore_new, w_new)
     outflux = float(np.sum(np.maximum(sol_bnd, 0.0)))
     influx = float(-np.sum(np.minimum(sol_bnd, 0.0)))
     if sol_src is not None:
         influx += float(np.sum(sol_src))
-    delta_m = mass_new - mass_old + dt * (outflux - influx)
+    delta_m = (mass_u + mass_w) - mass_old + dt * (outflux - influx)
 
     report = StepReport(
-        step=0, time=t_new,
-        mass_u=total_mass(lay, pore_new, u_new),
-        mass_w=total_mass(lay, pore_new, w_new),
-        influx=influx, outflux=outflux, delta_m=delta_m,
+        step=0, time=t_new, mass_u=mass_u, mass_w=mass_w, influx=influx,
+        outflux=outflux, delta_m=delta_m,
         clamp_events=clamp_events, event_count=n_events)
     return state_next, report
 

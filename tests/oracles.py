@@ -1,0 +1,124 @@
+"""Reference implementations the tests check the program against.
+
+None of these runs in a simulation: each is an independent statement
+of a property (crossing location, discrete divergence, mesh
+conformity) or a reader of an output format.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from fracreact.discretize import Topology
+from fracreact.errors import FracReactError
+from fracreact.mesh import TIP_INTERSECTION, MixedDimMesh
+
+
+def locate_crossing(w_start, rate, dt):
+    """Fraction xi of the step at which the linear dense output
+    w(xi) = w_start + xi*dt*rate hits zero.
+
+    Exact for explicit Euler. Requires the tentative step to actually
+    cross: w_start >= 0 and w_start + dt*rate < 0.
+    """
+    w_start = np.asarray(w_start, dtype=float)
+    rate = np.asarray(rate, dtype=float)
+    if np.any(w_start < 0) or np.any(w_start + dt * rate >= 0):
+        raise ValueError("locate_crossing requires w_start >= 0 and a "
+                         "tentative step that crosses w = 0")
+    out = w_start / (-rate * dt)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def assemble_mixed_divergence(top: Topology, conn_flux, boundary_flux=None):
+    """Net outflow per dof over all dimensions.
+
+    Bulk cells sum their face fluxes; fracture cells additionally lose
+    the incoming coupling fluxes; intersections collect the incident
+    fracture tip fluxes. Immersed tips contribute nothing.
+    """
+    div = np.zeros(top.layout.ndof)
+    np.add.at(div, top.ci, np.asarray(conn_flux, dtype=float))
+    np.add.at(div, top.cj, -np.asarray(conn_flux, dtype=float))
+    if boundary_flux is not None:
+        np.add.at(div, top.b_dof, np.asarray(boundary_flux, dtype=float))
+    return div
+
+
+def validate_conformity(mesh: MixedDimMesh) -> list[str]:
+    """Check every structural invariant; returns a list of violation
+    messages, empty iff the mesh is valid."""
+    report: list[str] = []
+    nf = len(mesh.face_areas)
+
+    def flag(mask, message, ids=None):
+        """Report the ``ids`` (default: the positions) where ``mask`` holds."""
+        if np.any(mask):
+            bad = np.nonzero(mask)[0] if ids is None else ids[mask]
+            report.append(f"{message} {bad.tolist()}")
+
+    flag(mesh.cell_volumes <= 0, "non-positive cell volumes at bulk cells")
+    flag(mesh.face_areas <= 0, "non-positive face areas at faces")
+    c0, c1 = mesh.face_cells.T
+    flag(c0 < 0, "no primary adjacent cell at faces")
+    flag((c1 < 0) & (mesh.face_tag < 0), "no boundary tag at boundary faces")
+    flag((c1 >= 0) & (mesh.face_tag >= 0), "a boundary tag at interior faces")
+
+    expected = np.full((nf, 2), -1)
+    coupled = np.zeros(nf, dtype=int)
+    referenced: set[int] = set()
+    for fid, frac in enumerate(mesh.fractures):
+        cf = np.asarray(frac.cell_faces)
+        known = (cf >= 0) & (cf < nf)
+        flag(~known, f"fracture {fid} references unknown faces at its cells")
+        local = np.nonzero(known)[0]
+        cf = cf[known]
+        np.add.at(coupled, cf, 1)
+        expected[cf, 0] = fid
+        expected[cf, 1] = local
+        flag(mesh.face_cells[cf, 1] < 0,
+             f"fracture {fid} sits on boundary faces at its cells", local)
+        if len(frac.tips) != 2:
+            report.append(f"fracture {fid} must have exactly 2 tips")
+        for tip in frac.tips:
+            if tip.kind == TIP_INTERSECTION:
+                if tip.intersection is None or \
+                        tip.intersection >= len(mesh.intersections):
+                    report.append(f"fracture {fid} tip references missing "
+                                  f"intersection {tip.intersection}")
+                referenced.add(tip.intersection)
+    flag(coupled > 1, "more than one fracture cell coupled to faces")
+    flag(np.any(mesh.face_frac != expected, axis=1),
+         "face_frac does not match the fracture definition at faces")
+
+    for iid in range(len(mesh.intersections)):
+        if iid not in referenced:
+            report.append(f"intersection {iid} is not referenced by any "
+                          f"fracture tip")
+    return report
+
+
+def read_vtk_cell_data(path) -> dict[str, np.ndarray]:
+    """Extract the CELL_DATA arrays from a legacy ASCII VTK file
+    (round-trip companion of write_vtk_snapshot)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh]
+    arrays: dict[str, np.ndarray] = {}
+    i = 0
+    n = None
+    while i < len(lines):
+        parts = lines[i].split()
+        if parts[:1] == ["CELL_DATA"]:
+            n = int(parts[1])
+        elif parts[:1] == ["SCALARS"] and n is not None:
+            name = parts[1]
+            i += 1  # LOOKUP_TABLE line
+            vals = [float(lines[i + 1 + k]) for k in range(n)]
+            arrays[name] = np.asarray(vals)
+            i += n
+        i += 1
+    if not arrays:
+        raise FracReactError(f"{path}: no CELL_DATA arrays found")
+    return arrays

@@ -11,11 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracreact.chemistry import (ReactionParams, lambda_minus,
-                                 locate_crossing, react_cell)
+from fracreact.chemistry import ReactionParams, lambda_minus, react_cell
 from fracreact.constitutive import EPS_MIN, PhysParams
-from fracreact.discretize import (COUPLING, assemble_mixed_divergence,
-                                  build_topology)
+from fracreact.discretize import COUPLING, build_topology
 from fracreact.mesh import build_structured_2d
 from fracreact.physics import PRESSURE, SegmentBC, darcy_step
 from fracreact.scenarios import (_point_source_problem, get_scenario,
@@ -23,6 +21,7 @@ from fracreact.scenarios import (_point_source_problem, get_scenario,
                                  splitting_problem_factory)
 from fracreact.splitting import (TimeGrid, convergence_order, run,
                                  splitting_error_study)
+from oracles import assemble_mixed_divergence, locate_crossing
 
 VERDICTS: list[str] = []
 

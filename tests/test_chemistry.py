@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracreact.chemistry import (ReactionParams, lambda_minus,
-                                 locate_crossing, net_rate, react_cell,
-                                 saturation_ratio)
+from fracreact.chemistry import (ReactionParams, lambda_minus, net_rate,
+                                 react_cell, saturation_ratio)
 from fracreact.errors import NumericError
+from oracles import locate_crossing
 
 
 RP = ReactionParams(lambda0=1.0, act=0.0, u_e=1.0, rate_power=2.0)

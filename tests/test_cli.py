@@ -305,6 +305,15 @@ class TestCli:
         assert main(["study", "splitting-error", "--nt-list", "abc"]) == 1
         assert "nt-list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nt_list", ["0,10", "-5,10", "10,10"])
+    def test_study_rejects_nonpositive_or_repeated_counts(self, nt_list,
+                                                          capsys):
+        assert main(["study", "splitting-error", f"--nt-list={nt_list}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --nt-list step counts must be positive "
+                              "and distinct")
+
     def test_study_runs(self, capsys):
         assert main(["study", "splitting-error", "--nt-list", "10,20"]) == 0
         out = capsys.readouterr().out

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from fracreact.discretize import COUPLING, INTERSECT, build_topology
 from fracreact.errors import ConfigurationError
 from fracreact.mesh import (TIP_INTERSECTION, Intersection,
-                            build_interval_mesh, build_structured_2d,
-                            validate_conformity)
+                            build_interval_mesh, build_structured_2d)
+from oracles import validate_conformity
 from test_discretize import assert_topology_matches_reference, boundary_tags
 
 
@@ -51,7 +51,7 @@ class TestStructured2D:
         assert mesh.num_cells == 12
         assert mesh.cell_volumes.sum() == pytest.approx(1.0)
         # nx*(ny+1) horizontal + (nx+1)*ny vertical faces
-        assert mesh.num_faces == 4 * 4 + 5 * 3
+        assert len(mesh.face_areas) == 4 * 4 + 5 * 3
 
     def test_boundary_tag_counts(self):
         mesh = build_structured_2d(4, 3)

@@ -11,11 +11,11 @@ import pytest
 from fracreact.discretize import build_topology
 from fracreact.mesh import build_structured_2d
 from fracreact.output import (BALANCE_COLUMNS, BalanceWriter, OutputWriter,
-                              read_balance, read_vtk_cell_data,
-                              vtk_pieces, write_vtk_snapshot)
+                              read_balance, vtk_pieces, write_vtk_snapshot)
 from fracreact.physics import FieldState
 from fracreact.scenarios import get_scenario
 from fracreact.splitting import StepReport, run
+from oracles import read_vtk_cell_data
 
 
 def _report(step):

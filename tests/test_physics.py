@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from fracreact.constitutive import PhysParams
-from fracreact.discretize import (assemble_mixed_divergence,
-                                  boundary_transmissibilities, build_topology,
+from fracreact.discretize import (boundary_transmissibilities, build_topology,
                                   transmissibilities)
 from fracreact.errors import WellPosednessError
 from fracreact.linsolve import assemble_arrays, solve
@@ -17,6 +16,7 @@ from fracreact.physics import (DIRICHLET, FLUX, OUTFLOW, PRESSURE, SegmentBC,
                                heat_step, solute_ad_step, solute_coefficients,
                                transport_step)
 from fracreact.scenarios import make_state
+from oracles import assemble_mixed_divergence
 
 
 @pytest.fixture(scope="module")
