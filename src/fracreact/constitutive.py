@@ -115,9 +115,10 @@ def update_pore_fraction(prev, dw, eta):
     prev = np.asarray(prev, dtype=float)
     denom = 1.0 + np.asarray(eta, dtype=float) * np.asarray(dw, dtype=float)
     if np.any(denom <= 0):
+        dof = int(np.argmax(denom <= 0))
         raise SingularUpdateError(
-            "pore-fraction update has 1 + eta*dw <= 0; the porosity or "
-            "aperture would become non-positive or infinite")
+            f"pore-fraction update has 1 + eta*dw = {denom.flat[dof]:.6g} <= 0 at "
+            f"dof {dof}; the porosity or aperture would be non-positive or infinite")
     out = prev / denom
     if out.ndim == 0:
         return float(out)

@@ -4,10 +4,14 @@ Every system of a run has one sparsity pattern: the diagonal plus both
 entries of each connection. A ``SolvePlan`` holds it once, in a fixed
 fill-reducing order: the symmetric ``MMD_AT_PLUS_A`` ordering of one
 structural stand-in, and the CSC pattern of the matrix permuted by it.
-A solve then scatters its listed entries into the pattern by slot
+The ordering is read off an incomplete factor (``spilu``), which picks
+the same permutation as a full ``splu`` of the stand-in without its
+cost. A solve then scatters its listed entries into the pattern by slot
 (``assemble_arrays``) and factors in that order with sparse LU
-(``solve``). Both are deterministic across reruns on the same
-platform, which the output regression tests rely on.
+(``solve``), always with SuperLU's smallest supernode settings
+(``relax=1, panel_size=1``): they regroup the factorisation's work and
+leave its fill unchanged. Both are deterministic across reruns on the
+same platform, which the output regression tests rely on.
 
 Every solve meets one rule, with no fallback: the normwise residual
 ``||Ax - b|| / ||b||`` is at most ``DEFAULT_TOL``, or ``solve`` raises
@@ -62,7 +66,8 @@ def build_plan(n: int, ci, cj) -> SolvePlan:
     """Plan for n dofs and the connections (ci, cj). The ordering is the
     column permutation SuperLU picks with ``MMD_AT_PLUS_A`` for a
     stand-in of the pattern (1 on the diagonal, -1e-3 per entry of each
-    connection)."""
+    connection). It is taken from ``spilu``, whose ordering step is the
+    one ``splu`` runs, so no full LU of the stand-in is made."""
     ci = np.asarray(ci, dtype=np.int64)
     cj = np.asarray(cj, dtype=np.int64)
     if len(ci) and (min(ci.min(), cj.min()) < 0 or max(ci.max(), cj.max()) >= n):
@@ -75,7 +80,8 @@ def build_plan(n: int, ci, cj) -> SolvePlan:
     stand_in = sps.csc_matrix(
         (np.bincount(slots, weights=weights, minlength=len(indices)),
          indices, indptr), shape=(n, n))
-    perm = spla.splu(stand_in, permc_spec="MMD_AT_PLUS_A").perm_c.astype(np.int64)
+    perm = spla.spilu(stand_in, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
+                      fill_factor=1).perm_c.astype(np.int64)
     indptr, indices, slots = _pattern(n, perm[rows], perm[cols])
     m = len(ci)
     return SolvePlan(perm=perm, indptr=indptr, indices=indices,
@@ -96,7 +102,8 @@ def assemble_arrays(plan: SolvePlan, slots, vals, rhs) -> SparseSystem:
 def solve(system: SparseSystem) -> np.ndarray:
     """Direct sparse LU solve with one acceptance rule.
 
-    The matrix is factored in its own (already permuted) column order.
+    The matrix is factored in its own (already permuted) column order,
+    with the fixed supernode settings ``relax=1, panel_size=1``.
     The solution is returned when the normwise residual
     ``||Ax - b|| / ||b||`` (``||b||`` taken as 1 when b = 0) is at most
     ``DEFAULT_TOL``. Otherwise, and on non-finite input or output or a
@@ -108,7 +115,7 @@ def solve(system: SparseSystem) -> np.ndarray:
         raise NumericError("non-finite entries in linear system")
     try:
         with np.errstate(all="ignore"):
-            x = spla.splu(a, permc_spec="NATURAL").solve(b)
+            x = spla.splu(a, permc_spec="NATURAL", relax=1, panel_size=1).solve(b)
     except RuntimeError as exc:
         raise NumericError(f"sparse factorisation failed: {exc}") from exc
     if not np.all(np.isfinite(x)):

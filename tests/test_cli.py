@@ -297,6 +297,15 @@ class TestCli:
         assert re.match(r"error: .*step 5 \(heat\).* at dof \d+$",
                         capsys.readouterr().err)
 
+    def test_run_names_dof_when_coarse_step_dissolves_too_much(self, tmp_path,
+                                                              capsys):
+        # dt = 1 dissolves more than 1/eta of precipitate in one step
+        assert main(["run", "multi_fracture_opening", "--nt", "5",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert re.match(r"error: scheme step 9 \(pore correction\): .*"
+                        r"1 \+ eta\*dw = -?[\d.e+-]+ <= 0 at dof \d+;",
+                        capsys.readouterr().err)
+
     def test_run_unknown_target(self, capsys):
         assert main(["run", "missing_scenario"]) == 1
         assert "error:" in capsys.readouterr().err

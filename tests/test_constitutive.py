@@ -94,6 +94,12 @@ class TestPoreUpdate:
         with pytest.raises(SingularUpdateError):
             update_pore_fraction(0.2, -2.0, 1.0)
 
+    def test_singular_denominator_names_first_dof(self):
+        with pytest.raises(SingularUpdateError,
+                           match=r"1 \+ eta\*dw = -0\.5 <= 0 at dof 2;"):
+            update_pore_fraction(np.full(4, 0.2),
+                                 np.array([0.0, -0.1, -3.0, -4.0]), 0.5)
+
     def test_array_input(self):
         out = update_pore_fraction(np.array([0.2, 0.3]), np.array([0.0, 0.1]),
                                    0.5)

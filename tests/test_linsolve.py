@@ -13,8 +13,9 @@ from fracreact.errors import NumericError
 from fracreact.linsolve import DEFAULT_TOL, assemble_arrays, build_plan, solve
 from fracreact.mesh import build_interval_mesh
 from fracreact.physics import FLUX, transport_step
-from fracreact.scenarios import get_scenario
+from fracreact.scenarios import get_scenario, list_scenarios
 from fracreact.splitting import TimeGrid, run
+from oracles import mmd_ordering
 
 
 def _tridiagonal(diag, off):
@@ -200,24 +201,63 @@ def test_plan_keys_past_int32_range():
 
 
 def test_plan_built_once_per_topology(monkeypatch):
-    # three factorisations a step; the first run of a problem adds one
+    # three factorisations a step, each with the fixed supernode
+    # settings; the first run of a problem adds one incomplete factor
     # for the ordering, a second run on the same topology none
     calls = []
 
     class CountingSpla:
         def splu(self, *args, **kwargs):
-            calls.append(kwargs.get("permc_spec"))
+            calls.append(("splu", kwargs))
             return spla.splu(*args, **kwargs)
+
+        def spilu(self, *args, **kwargs):
+            calls.append(("spilu", kwargs))
+            return spla.spilu(*args, **kwargs)
 
     monkeypatch.setattr(linsolve, "spla", CountingSpla())
     scenario = get_scenario("multi_fracture_injection")
     grid = scenario.problem.grid
     k = 4
     problem = scenario.with_grid(TimeGrid(k * grid.dt, k)).problem
+    factor = ("splu", {"permc_spec": "NATURAL", "relax": 1, "panel_size": 1})
     run(problem)
     assert len(calls) == 3 * k + 1
-    assert calls[0] == "MMD_AT_PLUS_A"
-    assert calls[1:] == ["NATURAL"] * (3 * k)
+    assert calls[0][0] == "spilu"
+    assert calls[0][1]["permc_spec"] == "MMD_AT_PLUS_A"
+    assert calls[1:] == [factor] * (3 * k)
     del calls[:]
     run(problem)
-    assert calls == ["NATURAL"] * (3 * k)
+    assert calls == [factor] * (3 * k)
+
+
+@pytest.mark.parametrize("name", sorted(list_scenarios()))
+def test_plan_ordering_is_the_full_lu_mmd_ordering(name):
+    # the plan reads its ordering off an incomplete factor; it must be
+    # the permutation a full MMD factorisation of the stand-in picks
+    top = get_scenario(name).problem.top
+    np.testing.assert_array_equal(top.plan.perm, mmd_ordering(top))
+
+
+def test_fixed_supernode_settings_keep_the_fill(monkeypatch):
+    # relax=1, panel_size=1 regroup supernodes only: L+U of every
+    # system of a step has the fill of SuperLU's default settings
+    factored = []
+
+    class RecordingSpla:
+        def splu(self, matrix, *args, **kwargs):
+            lu = spla.splu(matrix, *args, **kwargs)
+            factored.append((matrix.copy(), lu))
+            return lu
+
+        def __getattr__(self, attr):
+            return getattr(spla, attr)
+
+    monkeypatch.setattr(linsolve, "spla", RecordingSpla())
+    scenario = get_scenario("multi_fracture_injection")
+    grid = scenario.problem.grid
+    run(scenario.with_grid(TimeGrid(grid.dt, 1)).problem)
+    assert len(factored) == 3
+    for matrix, lu in factored:
+        default = spla.splu(matrix, permc_spec="NATURAL")
+        assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
