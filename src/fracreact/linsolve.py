@@ -8,10 +8,11 @@ The ordering is read off an incomplete factor (``spilu``), which picks
 the same permutation as a full ``splu`` of the stand-in without its
 cost. A solve then scatters its listed entries into the pattern by slot
 (``assemble_arrays``) and factors in that order with sparse LU
-(``solve``), always with SuperLU's smallest supernode settings
+(``factor``), always with SuperLU's smallest supernode settings
 (``relax=1, panel_size=1``): they regroup the factorisation's work and
 leave its fill unchanged. Both are deterministic across reruns on the
-same platform, which the output regression tests rely on.
+same platform, which the output regression tests rely on; a factor kept
+for one matrix thus serves any later bit-identical one (``lu``).
 
 Every solve meets one rule, with no fallback: the normwise residual
 ``||Ax - b|| / ||b||`` is at most ``DEFAULT_TOL``, or ``solve`` raises
@@ -88,22 +89,36 @@ def build_plan(n: int, ci, cj) -> SolvePlan:
                      diag=slots[:n], ij=slots[n:n + m], ji=slots[n + m:])
 
 
-def assemble_arrays(plan: SolvePlan, slots, vals, rhs) -> SparseSystem:
+def assemble_arrays(plan: SolvePlan, slots, vals, rhs,
+                    last: sps.csc_matrix | None = None) -> SparseSystem:
     """The permuted system with ``vals`` summed into the pattern at
-    ``slots`` in listed order, and ``rhs`` permuted to match."""
+    ``slots`` in listed order, and ``rhs`` permuted to match. When the
+    sums equal ``last.data`` (``last`` a matrix on this plan), the system
+    reuses ``last``; no sum is -0.0, so equal sums are equal to the bit."""
     n = len(plan.perm)
     data = np.bincount(slots, weights=vals, minlength=len(plan.indices))
     b = np.empty(n)
     b[plan.perm] = rhs
-    return SparseSystem(matrix=sps.csc_matrix((data, plan.indices, plan.indptr),
-                                              shape=(n, n)), rhs=b)
+    if last is None or not np.array_equal(data, last.data):
+        last = sps.csc_matrix((data, plan.indices, plan.indptr), shape=(n, n))
+    return SparseSystem(matrix=last, rhs=b)
 
 
-def solve(system: SparseSystem) -> np.ndarray:
+def factor(matrix: sps.csc_matrix):
+    """Sparse LU of ``matrix`` in its own (already permuted) column
+    order, with the fixed supernode settings ``relax=1, panel_size=1``."""
+    try:
+        with np.errstate(all="ignore"):
+            return spla.splu(matrix, permc_spec="NATURAL", relax=1, panel_size=1)
+    except RuntimeError as exc:
+        raise NumericError(f"sparse factorisation failed: {exc}") from exc
+
+
+def solve(system: SparseSystem, *, lu=None) -> np.ndarray:
     """Direct sparse LU solve with one acceptance rule.
 
-    The matrix is factored in its own (already permuted) column order,
-    with the fixed supernode settings ``relax=1, panel_size=1``.
+    The matrix is factored with ``factor``, unless ``lu`` is given: a
+    factor of a matrix equal to this one, which is then used as is.
     The solution is returned when the normwise residual
     ``||Ax - b|| / ||b||`` (``||b||`` taken as 1 when b = 0) is at most
     ``DEFAULT_TOL``. Otherwise, and on non-finite input or output or a
@@ -113,11 +128,8 @@ def solve(system: SparseSystem) -> np.ndarray:
     a, b = system.matrix, system.rhs
     if not np.all(np.isfinite(a.data)) or not np.all(np.isfinite(b)):
         raise NumericError("non-finite entries in linear system")
-    try:
-        with np.errstate(all="ignore"):
-            x = spla.splu(a, permc_spec="NATURAL", relax=1, panel_size=1).solve(b)
-    except RuntimeError as exc:
-        raise NumericError(f"sparse factorisation failed: {exc}") from exc
+    with np.errstate(all="ignore"):
+        x = (factor(a) if lu is None else lu).solve(b)
     if not np.all(np.isfinite(x)):
         raise NumericError("solver produced non-finite solution (singular system)")
     bnorm = np.linalg.norm(b)

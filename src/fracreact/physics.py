@@ -12,6 +12,9 @@ reference use it through the implicit Euler step ``transport_step``
 with scale dt. It returns the outward boundary fluxes consistent with
 the solve, which the mass audit uses.
 
+Each equation solves through one ``Operator``, which resolves its
+boundary closure once and reuses a factor while its matrix repeats.
+
 Boundary values and sources are constants for the whole run: a number
 per segment and equation, and an optional per-dof solute source array.
 
@@ -31,7 +34,7 @@ from .constitutive import PhysParams
 from .discretize import (COUPLING, INTERSECT, Topology,
                          boundary_transmissibilities, transmissibilities)
 from .errors import WellPosednessError
-from .linsolve import assemble_arrays, solve
+from .linsolve import assemble_arrays, factor, solve
 
 DIRICHLET = "dirichlet"
 OUTFLOW = "outflow"
@@ -81,31 +84,44 @@ class FieldState:
                              for name, value in vars(self).items()})
 
 
-def _resolve_bc(top: Topology, bc: BoundarySpec, equation: str):
-    """Per-boundary-face (kind, value) arrays for one equation; each
-    segment is looked up once."""
-    accepted = FLOW_KINDS if equation == "flow" else TRANSPORT_KINDS
-    kinds, values = [], []
-    for tag in top.seg_names:
-        if tag not in bc:
-            raise WellPosednessError(f"no boundary condition for segment {tag!r}")
-        kind, val = getattr(bc[tag], equation)
-        if kind not in accepted:
+class Operator:
+    """One equation's boundary closure on a topology, resolved once per
+    run: per-face kind masks, values and (essential, advective) slot
+    pairs. It keeps its last matrix and, once that repeats, its factor."""
+
+    def __init__(self, top: Topology, bc: BoundarySpec, equation: str):
+        accepted = FLOW_KINDS if equation == "flow" else TRANSPORT_KINDS
+        kinds, values = [], []
+        for tag in top.seg_names:
+            if tag not in bc:
+                raise WellPosednessError(f"no boundary condition for segment {tag!r}")
+            kind, val = getattr(bc[tag], equation)
+            if kind not in accepted:
+                raise WellPosednessError(f"unknown {equation} boundary kind "
+                                         f"{kind!r} on segment {tag!r}")
+            kinds.append(kind)
+            values.append(float(val))
+        kinds = np.array(kinds, dtype=str)[top.b_seg]
+        self.values = np.array(values, dtype=float)[top.b_seg]
+        self.ess = (kinds == PRESSURE) | (kinds == DIRICHLET)
+        if equation == "flow" and not np.any(self.ess):
             raise WellPosednessError(
-                f"unknown {equation} boundary kind {kind!r} on segment {tag!r}")
-        kinds.append(kind)
-        values.append(float(val))
-    return (np.array(kinds, dtype=str)[top.b_seg],
-            np.array(values, dtype=float)[top.b_seg])
+                "flow problem needs at least one essential pressure segment")
+        self.out = kinds == OUTFLOW
+        self.datum = self.ess | (kinds == FLUX)
+        self.top = top
+        self.bd2 = np.array([top.b_dof, top.b_dof]).T
+        self.b_slots = top.plan.diag[self.bd2]
+        self.matrix = self.lu = None
 
 
-def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,
-                diag, flux, bnd_flux):
+def _tpfa_solve(op: Operator, t_conn, t_bnd, rhs, scale, diag, flux,
+                bnd_flux):
     """Assemble and solve
 
         diag*x + scale*(TPFA diffusion + upwind advection) = rhs
 
-    with the boundary closures of ``kinds``: essential (``pressure`` or
+    with the boundary closures of ``op``: essential (``pressure`` or
     ``dirichlet``; the datum also feeds advective inflow), ``outflow``
     (advective upwind only) and ``flux`` (outward total flux datum).
     ``flux`` and ``bnd_flux`` are the advective connection and boundary
@@ -118,40 +134,38 @@ def _tpfa_solve(top: Topology, t_conn, t_bnd, kinds, values, rhs, scale,
     ``assemble_arrays`` sums duplicates with ``np.bincount`` in this
     listed order, which keeps the result reproducible to the bit.
     """
-    plan = top.plan
-    ci, cj, bd = top.ci, top.cj, top.b_dof
-    kinds, g = np.asarray(kinds), np.asarray(values, dtype=float)
-    ess = (kinds == PRESSURE) | (kinds == DIRICHLET)
-    out = kinds == OUTFLOW
-    leaving, upwind = bnd_flux >= 0, ess | out
+    top, plan, g, ess = op.top, op.top.plan, op.values, op.ess
+    leaving, upwind = bnd_flux >= 0, ess | op.out
     adv_out, adv_in = upwind & leaving, upwind & ~leaving
     st = scale * t_conn
     fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
-    conn = [plan.diag[ci], plan.ij, plan.diag[cj], plan.ji]
+    conn = [plan.diag[top.ci], plan.ij, plan.diag[top.cj], plan.ji]
     slots = [plan.diag] + conn + conn
     vals = [diag, st, -st, st, -st,
             scale * fp, scale * fm, -scale * fm, -scale * fp]
 
-    # one (essential, advective) pair of slots per face; boolean masks
-    # select from the transposed pairs face by face
-    bd2 = np.array([bd, bd]).T
+    # boolean masks select from the transposed face pairs face by face
     sel = np.array([ess, adv_out]).T
     st_b, sfb = scale * t_bnd, scale * bnd_flux
-    slots.append(plan.diag[bd2[sel]])
+    slots.append(op.b_slots[sel])
     vals.append(np.array([st_b, sfb]).T[sel])
-    sel = np.array([ess | (kinds == FLUX), adv_in]).T
+    sel = np.array([op.datum, adv_in]).T
     term = np.array([np.where(ess, st_b * g, (-scale * g) * top.b_area),
                      -sfb * g]).T
-    np.add.at(rhs, bd2[sel], term[sel])
+    np.add.at(rhs, op.bd2[sel], term[sel])
 
     system = assemble_arrays(plan, np.concatenate(slots), np.concatenate(vals),
-                             rhs)
-    x = solve(system)[plan.perm]
+                             rhs, op.matrix)
+    if system.matrix is not op.matrix:
+        op.matrix, op.lu = system.matrix, None
+    elif op.lu is None:
+        op.lu = factor(system.matrix)
+    x = solve(system, lu=op.lu)[plan.perm]
 
-    xb = x[bd]
+    xb = x[top.b_dof]
     adv = bnd_flux * np.where(leaving, xb, g)
     bnd_total = np.where(ess, t_bnd * (xb - g) + adv,
-                         np.where(out, adv, g * top.b_area))
+                         np.where(op.out, adv, g * top.b_area))
     return x, bnd_total
 
 
@@ -193,27 +207,23 @@ def _interface_resistance(eps, kappa, scale):
     return out
 
 
-def darcy_step(top: Topology, pore_star, pore_n, params: PhysParams,
-               bc: BoundarySpec, dt: float):
+def darcy_step(op: Operator, pore_star, pore_n, params: PhysParams,
+               dt: float):
     """Implicit Euler Darcy solve over all subdomains.
 
     The pore-fraction change acts as an additional source. Returns
     (pressure, connection fluxes, boundary fluxes); fluxes are positive
     from ci to cj / outward.
     """
+    top = op.top
     lay = top.layout
     coef, resist = flow_coefficients(top, pore_star, params)
     t_conn = transmissibilities(top, coef, resist)
 
-    kinds, values = _resolve_bc(top, bc, "flow")
-    if not np.any(kinds == PRESSURE):
-        raise WellPosednessError(
-            "flow problem needs at least one essential pressure segment")
-
     # no accumulation and no advection: zero diagonal and fluxes
     rhs = -(np.asarray(pore_star) - np.asarray(pore_n)) * lay.measure / dt
-    p, bnd_flux = _tpfa_solve(top, t_conn, boundary_transmissibilities(top, coef),
-                              kinds, values, rhs, 1.0, np.zeros(lay.ndof),
+    p, bnd_flux = _tpfa_solve(op, t_conn, boundary_transmissibilities(top, coef),
+                              rhs, 1.0, np.zeros(lay.ndof),
                               np.zeros(top.n_conn), np.zeros(len(top.b_dof)))
     return p, t_conn * (p[top.ci] - p[top.cj]), bnd_flux
 
@@ -222,9 +232,8 @@ def darcy_step(top: Topology, pore_star, pore_n, params: PhysParams,
 # generic implicit upwind/TPFA transport
 
 
-def transport_step(top: Topology, t_conn, t_bnd, acc_new, acc_old, x_old,
-                   conn_flux, bnd_flux, adv_scale, kinds, values, dt,
-                   source=None):
+def transport_step(op: Operator, t_conn, t_bnd, acc_new, acc_old, x_old,
+                   conn_flux, bnd_flux, adv_scale, dt, source=None):
     """One implicit Euler step of
 
         acc_new*x - acc_old*x_old + dt*(div of advective+diffusive flux)
@@ -240,7 +249,7 @@ def transport_step(top: Topology, t_conn, t_bnd, acc_new, acc_old, x_old,
     if source is not None:
         rhs = rhs + dt * np.asarray(source, dtype=float)
     return _tpfa_solve(
-        top, t_conn, t_bnd, kinds, values, rhs, dt,
+        op, t_conn, t_bnd, rhs, dt,
         diag=np.asarray(acc_new, dtype=float),
         flux=adv_scale * np.asarray(conn_flux, dtype=float),
         bnd_flux=adv_scale * np.asarray(bnd_flux, dtype=float))
@@ -250,33 +259,29 @@ def transport_step(top: Topology, t_conn, t_bnd, acc_new, acc_old, x_old,
 # heat and solute wrappers
 
 
-def heat_step(top: Topology, state: FieldState, conn_flux, bnd_flux,
-              pore_star, pore_n, params: PhysParams, bc: BoundarySpec,
-              dt: float):
+def heat_step(op: Operator, state: FieldState, conn_flux, bnd_flux,
+              pore_star, pore_n, params: PhysParams, dt: float):
     """Implicit Euler heat solve with effective properties evaluated at
     the extrapolated pore fractions."""
+    top = op.top
     lay = top.layout
+    bulk, low = lay.is_bulk, ~lay.is_bulk
     coef = np.ones(lay.ndof)
-    coef[lay.is_bulk] = cl.effective_conductivity(pore_star[lay.is_bulk], params)
+    coef[bulk] = cl.effective_conductivity(pore_star[bulk], params)
     coef[lay.is_frac] = pore_star[lay.is_frac] * params.lambdaw
 
     resist = _transport_resistances(top, pore_star, params.lambdaw)
 
-    acc_new = np.empty(lay.ndof)
-    acc_old = np.empty(lay.ndof)
-    acc_new[lay.is_bulk] = cl.effective_heat_capacity(
-        pore_star[lay.is_bulk], params) * lay.measure[lay.is_bulk]
-    acc_old[lay.is_bulk] = cl.effective_heat_capacity(
-        pore_n[lay.is_bulk], params) * lay.measure[lay.is_bulk]
-    low = ~lay.is_bulk
-    acc_new[low] = params.rhow_cw * pore_star[low] * lay.measure[low]
-    acc_old[low] = params.rhow_cw * pore_n[low] * lay.measure[low]
+    def capacity(pore):
+        acc = np.empty(lay.ndof)
+        acc[bulk] = cl.effective_heat_capacity(pore[bulk], params) * lay.measure[bulk]
+        acc[low] = params.rhow_cw * pore[low] * lay.measure[low]
+        return acc
 
-    kinds, values = _resolve_bc(top, bc, "heat")
     return transport_step(
-        top, transmissibilities(top, coef, resist),
-        boundary_transmissibilities(top, coef), acc_new, acc_old, state.theta,
-        conn_flux, bnd_flux, params.rhow_cw, kinds, values, dt)
+        op, transmissibilities(top, coef, resist),
+        boundary_transmissibilities(top, coef), capacity(pore_star),
+        capacity(pore_n), state.theta, conn_flux, bnd_flux, params.rhow_cw, dt)
 
 
 def solute_coefficients(top: Topology, pore_star, params: PhysParams):
@@ -289,20 +294,19 @@ def solute_coefficients(top: Topology, pore_star, params: PhysParams):
     return coef, _transport_resistances(top, pore_star, params.deltagamma)
 
 
-def solute_ad_step(top: Topology, state: FieldState, conn_flux, bnd_flux,
-                   pore_star, pore_n, params: PhysParams, bc: BoundarySpec,
-                   dt: float, source=None):
+def solute_ad_step(op: Operator, state: FieldState, conn_flux, bnd_flux,
+                   pore_star, pore_n, params: PhysParams, dt: float,
+                   source=None):
     """Implicit Euler advection-diffusion solve for the solute with the
     reaction term set to zero."""
+    top = op.top
     coef, resist = solute_coefficients(top, pore_star, params)
     acc_new = pore_star * top.layout.measure
     acc_old = pore_n * top.layout.measure
-
-    kinds, values = _resolve_bc(top, bc, "solute")
     return transport_step(
-        top, transmissibilities(top, coef, resist),
+        op, transmissibilities(top, coef, resist),
         boundary_transmissibilities(top, coef), acc_new, acc_old, state.u,
-        conn_flux, bnd_flux, 1.0, kinds, values, dt, source=source)
+        conn_flux, bnd_flux, 1.0, dt, source=source)
 
 
 def _transport_resistances(top: Topology, pore_star, normal_coef):

@@ -12,6 +12,7 @@ step report.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,8 +23,8 @@ from .constitutive import PhysParams
 from .discretize import (Topology, boundary_transmissibilities,
                          transmissibilities)
 from .errors import FracReactError, NumericError
-from .physics import (FieldState, darcy_step, heat_step, solute_ad_step,
-                      solute_coefficients, transport_step, _resolve_bc)
+from .physics import (FieldState, Operator, darcy_step, heat_step,
+                      solute_ad_step, solute_coefficients, transport_step)
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,10 @@ class TimeGrid:
         if not 0 < self.t_end < np.inf:
             raise ValueError(
                 f"t_end must be positive and finite, got {self.t_end}")
-        if not 1 <= self.num_steps < np.inf:
+        if not (isinstance(self.num_steps, (int, np.integer))
+                and self.num_steps >= 1):
             raise ValueError(
-                f"num_steps must be >= 1 and finite, got {self.num_steps}")
+                f"num_steps must be a finite integer >= 1, got {self.num_steps}")
 
     @property
     def dt(self) -> float:
@@ -93,6 +95,11 @@ class Problem:
     solute_source: np.ndarray | None = None
     reaction_scheme: str = "explicit-euler"
 
+    # each equation's Operator, built at its first solve and kept
+    flow = cached_property(lambda self: Operator(self.top, self.bc, "flow"))
+    heat = cached_property(lambda self: Operator(self.top, self.bc, "heat"))
+    solute = cached_property(lambda self: Operator(self.top, self.bc, "solute"))
+
 
 PREDICT_DENOM_MIN = 0.1
 
@@ -136,7 +143,7 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
                  t_new: float) -> tuple[FieldState, StepReport]:
     """Advance one time step of length dt ending at t_new."""
     lay = problem.top.layout
-    params, bc = problem.params, problem.bc
+    params = problem.params
 
     mass_old = (total_mass(lay, state.pore, state.u)
                 + total_mass(lay, state.pore, state.w))
@@ -160,7 +167,7 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
     if problem.prescribed is None:
         try:
             p, conn_flux, bnd_flux = darcy_step(
-                problem.top, pore_star, state.pore, params, bc, dt)
+                problem.flow, pore_star, state.pore, params, dt)
         except FracReactError as exc:
             raise _annotate(4, "flow", exc)
     else:
@@ -171,8 +178,8 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
     if problem.solve_heat:
         try:
             theta_new, _ = heat_step(
-                problem.top, state, conn_flux, bnd_flux, pore_star, state.pore,
-                params, bc, dt)
+                problem.heat, state, conn_flux, bnd_flux, pore_star,
+                state.pore, params, dt)
             if np.any(theta_new <= 0):
                 dof = int(np.argmax(theta_new <= 0))
                 raise NumericError(f"non-positive temperature "
@@ -186,8 +193,8 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
     sol_src = problem.solute_source
     try:
         u_half, sol_bnd = solute_ad_step(
-            problem.top, state, conn_flux, bnd_flux, pore_star, state.pore,
-            params, bc, dt, source=sol_src)
+            problem.solute, state, conn_flux, bnd_flux, pore_star, state.pore,
+            params, dt, source=sol_src)
     except FracReactError as exc:
         raise _annotate(6, "solute", exc)
 
@@ -297,7 +304,6 @@ def monolithic_linear_run(problem: Problem) -> np.ndarray:
     coef, resist = solute_coefficients(top, pore, params)
     t_conn = transmissibilities(top, coef, resist)
     t_bnd = boundary_transmissibilities(top, coef)
-    kinds, values = _resolve_bc(top, problem.bc, "solute")
     # the linear rate lam*(u/u_e - 1) splits into an accumulation and a
     # source term
     acc = pore * lay.measure
@@ -308,8 +314,8 @@ def monolithic_linear_run(problem: Problem) -> np.ndarray:
 
     for _ in range(problem.grid.num_steps):
         u = transport_step(
-            top, t_conn, t_bnd, acc_react, acc, u, conn_flux, bnd_flux, 1.0,
-            kinds, values, dt, source=source)[0]
+            problem.solute, t_conn, t_bnd, acc_react, acc, u, conn_flux,
+            bnd_flux, 1.0, dt, source=source)[0]
         w = w + dt * lam * (u / rp.u_e - 1.0)
         if np.any(w <= 0):
             raise FracReactError(

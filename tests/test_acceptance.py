@@ -15,7 +15,7 @@ from fracreact.chemistry import ReactionParams, lambda_minus, react_cell
 from fracreact.constitutive import EPS_MIN, PhysParams
 from fracreact.discretize import COUPLING, build_topology
 from fracreact.mesh import build_structured_2d
-from fracreact.physics import PRESSURE, SegmentBC, darcy_step
+from fracreact.physics import PRESSURE, Operator, SegmentBC, darcy_step
 from fracreact.scenarios import (_point_source_problem, get_scenario,
                                  list_scenarios, make_state,
                                  splitting_problem_factory)
@@ -238,9 +238,8 @@ def test_criterion_7_discrete_conservation_all_scenarios():
             div = assemble_mixed_divergence(top, conn, bnd)
         else:
             state = problem.state0
-            _, conn, bnd = darcy_step(top, state.pore, state.pore,
-                                      problem.params, problem.bc,
-                                      problem.grid.dt)
+            _, conn, bnd = darcy_step(problem.flow, state.pore, state.pore,
+                                      problem.params, problem.grid.dt)
             div = assemble_mixed_divergence(top, conn, bnd)
             # solved flow: each cell balances exactly (zero rhs here)
             worst_cell = max(worst_cell, float(np.max(np.abs(div))))
@@ -265,13 +264,14 @@ def test_criterion_8_decoupling_limit():
     cut = build_structured_2d(20, 20, fractures=[[(0.5, 0.0), (0.5, 1.0)]])
     top_cut = build_topology(cut)
     state = make_state(top_cut, params, frac_aperture=EPS_MIN)
-    p_cut, _, _ = darcy_step(top_cut, state.pore, state.pore, params, bc,
-                             dt=0.1)
+    p_cut, _, _ = darcy_step(Operator(top_cut, bc, "flow"), state.pore,
+                             state.pore, params, dt=0.1)
 
     plain = build_structured_2d(20, 20)
     top_plain = build_topology(plain)
     pore = np.full(top_plain.layout.ndof, params.phi0)
-    p_plain, _, _ = darcy_step(top_plain, pore, pore, params, bc, dt=0.1)
+    p_plain, _, _ = darcy_step(Operator(top_plain, bc, "flow"), pore, pore,
+                               params, dt=0.1)
     diff = float(np.max(np.abs(p_cut[:plain.num_cells] - p_plain)))
     ok = diff <= 1e-8
     _verdict(8, ok, f"pressure deviation {diff:.2e} (<= 1e-8) with the "

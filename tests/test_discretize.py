@@ -13,7 +13,7 @@ from fracreact.discretize import (BULK, COUPLING, FRAC, INTERSECT,
 from fracreact.errors import NumericError
 from fracreact.mesh import (TIP_BOUNDARY, TIP_INTERSECTION,
                             build_interval_mesh, build_structured_2d)
-from fracreact.physics import FLUX, OUTFLOW, transport_step
+from fracreact.physics import OUTFLOW, Operator, SegmentBC, transport_step
 from fracreact.scenarios import get_scenario, list_scenarios
 from oracles import assemble_mixed_divergence
 
@@ -129,9 +129,11 @@ class TestTransmissibility:
         assert np.isnan(t[:2]).all() and t[2] == 4.0
         ones = np.ones(4)
         with pytest.raises(NumericError, match="non-finite entries"):
-            transport_step(top, t, boundary_transmissibilities(top, ones),
+            transport_step(Operator(top, {"left": SegmentBC(),
+                                          "right": SegmentBC()}, "solute"),
+                           t, boundary_transmissibilities(top, ones),
                            ones, ones, ones, np.zeros(3), np.zeros(2), 1.0,
-                           [FLUX, FLUX], np.zeros(2), 0.1)
+                           0.1)
 
     def test_nan_boundary_coefficient_gives_nan(self):
         top = build_topology(build_interval_mesh(1.0, 4))
@@ -176,13 +178,16 @@ class TestTransmissibility:
         assert transmissibilities(top, coef)[k] == 0.0
 
 
-def _advect(top, x_old, conn_flux, bnd_flux, kinds, values, dt=0.1):
-    """One implicit pure-advection step with unit accumulation."""
+def _advect(top, x_old, conn_flux, bnd_flux, solute, dt=0.1):
+    """One implicit pure-advection step with unit accumulation and the
+    solute boundary data ``solute`` on both ends."""
     zero = np.zeros(top.layout.ndof)
     ones = np.ones(top.layout.ndof)
-    return transport_step(top, transmissibilities(top, zero),
+    bc = {tag: SegmentBC(solute=solute) for tag in ("left", "right")}
+    return transport_step(Operator(top, bc, "solute"),
+                          transmissibilities(top, zero),
                           boundary_transmissibilities(top, zero), ones, ones,
-                          x_old, conn_flux, bnd_flux, 1.0, kinds, values, dt)
+                          x_old, conn_flux, bnd_flux, 1.0, dt)
 
 
 class TestUpwind:
@@ -191,8 +196,7 @@ class TestUpwind:
         x_old = np.arange(top.layout.ndof, dtype=float)
         flux = np.array([1.0, -1.0, 1.0, -1.0])
         dt = 0.1
-        x, _ = _advect(top, x_old, flux, np.zeros(2), [FLUX, FLUX],
-                       np.zeros(2), dt)
+        x, _ = _advect(top, x_old, flux, np.zeros(2), SegmentBC().solute, dt)
         up = np.where(flux >= 0, x[top.ci], x[top.cj])
         down = np.where(flux >= 0, x[top.cj], x[top.ci])
         # the solve balances the upstream face values, not the downstream
@@ -207,8 +211,7 @@ class TestUpwind:
         left = top.b_seg.tolist().index(top.seg_names.index("left"))
         bflux = np.where(np.arange(2) == left, -1.0, 1.0)
         x, bnd_total = _advect(top, np.full(top.layout.ndof, 5.0),
-                               np.zeros(top.n_conn), bflux,
-                               [OUTFLOW, OUTFLOW], np.array([9.0, 9.0]))
+                               np.zeros(top.n_conn), bflux, (OUTFLOW, 9.0))
         right = 1 - left
         assert bnd_total[left] == -9.0   # inflow carries the boundary value
         # outflow carries the cell value

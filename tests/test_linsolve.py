@@ -8,13 +8,15 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from fracreact import linsolve, physics
+from fracreact.cli import STUDY_DAMKOHLER
 from fracreact.discretize import build_topology
 from fracreact.errors import NumericError
 from fracreact.linsolve import DEFAULT_TOL, assemble_arrays, build_plan, solve
 from fracreact.mesh import build_interval_mesh
-from fracreact.physics import FLUX, transport_step
-from fracreact.scenarios import get_scenario, list_scenarios
-from fracreact.splitting import TimeGrid, run
+from fracreact.physics import Operator, SegmentBC, transport_step
+from fracreact.scenarios import (get_scenario, list_scenarios,
+                                 splitting_problem_factory)
+from fracreact.splitting import TimeGrid, run, splitting_error_study
 from oracles import mmd_ordering
 
 
@@ -155,8 +157,8 @@ def test_residual_margin_on_clogging_network(monkeypatch):
     # stays an order of magnitude under the tolerance
     residuals = []
 
-    def recording_solve(system):
-        x = solve(system)
+    def recording_solve(system, **kwargs):
+        x = solve(system, **kwargs)
         b = system.rhs
         bnorm = np.linalg.norm(b)
         residuals.append(np.linalg.norm(system.matrix @ x - b)
@@ -183,9 +185,10 @@ def test_plan_keys_past_int32_range():
     acc_new, acc_old = rng.uniform(1.0, 2.0, n), rng.uniform(1.0, 2.0, n)
     x_old = rng.uniform(0.0, 1.0, n)
     nb, dt = len(top.b_dof), 0.1
-    x, _ = transport_step(top, t_conn, np.ones(nb), acc_new, acc_old, x_old,
-                          flux, np.zeros(nb), 1.0, np.full(nb, FLUX),
-                          np.zeros(nb), dt)
+    no_flux = {"left": SegmentBC(), "right": SegmentBC()}
+    x, _ = transport_step(Operator(top, no_flux, "solute"), t_conn,
+                          np.ones(nb), acc_new, acc_old, x_old, flux,
+                          np.zeros(nb), 1.0, dt)
 
     # the same operator assembled from triplets: diagonal, TPFA
     # diffusion, upwind advection; zero-flux boundaries add nothing
@@ -261,3 +264,142 @@ def test_fixed_supernode_settings_keep_the_fill(monkeypatch):
     for matrix, lu in factored:
         default = spla.splu(matrix, permc_spec="NATURAL")
         assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
+
+
+class SpluCounter:
+    """``scipy.sparse.linalg`` with its ``splu`` calls counted."""
+
+    def __init__(self):
+        self.factorizations = 0
+
+    def splu(self, *args, **kwargs):
+        self.factorizations += 1
+        return spla.splu(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(spla, attr)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    counter = SpluCounter()
+    monkeypatch.setattr(linsolve, "spla", counter)
+    return counter
+
+
+class TestFactorReuse:
+    """A matrix that repeats the operator's last one bit for bit is
+    solved with a kept factor."""
+
+    @pytest.fixture
+    def case(self):
+        # one solute step of the multi-fracture network on fixed fluxes
+        problem = get_scenario("multi_fracture_injection").problem
+        state = problem.state0
+        _, conn, bnd = physics.darcy_step(problem.flow, state.pore, state.pore,
+                                          problem.params, problem.grid.dt)
+        return problem, state, conn, bnd
+
+    @staticmethod
+    def _step(op, case, u_old):
+        problem, state, conn, bnd = case
+        state = state.copy()
+        state.u[:] = u_old
+        return physics.solute_ad_step(op, state, conn, bnd, state.pore,
+                                      state.pore, problem.params,
+                                      problem.grid.dt)[0]
+
+    def test_repeat_reuses_factor_bit_for_bit(self, case, counting):
+        problem = case[0]
+        op = Operator(problem.top, problem.bc, "solute")
+        rng = np.random.default_rng(3)
+        olds = rng.uniform(0.0, 1.0, (3, problem.top.layout.ndof))
+        xs = [self._step(op, case, u_old) for u_old in olds]
+        # a new matrix, its first repeat (factored and kept), then reuse
+        assert counting.factorizations == 2 and op.lu is not None
+        counting.factorizations = 0
+        for u_old, x in zip(olds, xs):
+            fresh = Operator(problem.top, problem.bc, "solute")
+            assert np.array_equal(x, self._step(fresh, case, u_old))
+        assert counting.factorizations == 3
+
+    def test_one_ulp_change_refactors_and_drops(self, case, counting):
+        # without transport the matrix is the accumulation diagonal, so
+        # one ulp more accumulation in one cell moves one entry one ulp
+        top, bc = case[0].top, case[0].bc
+        n = top.layout.ndof
+        op = Operator(top, bc, "solute")
+        acc = np.linspace(1.0, 2.0, n)
+        zero_c, zero_b = np.zeros(top.n_conn), np.zeros(len(top.b_dof))
+
+        def step(acc_new):
+            transport_step(op, zero_c, zero_b, acc_new, acc, np.ones(n),
+                           zero_c, zero_b, 1.0, 0.1)
+
+        for _ in range(3):
+            step(acc)
+        assert counting.factorizations == 2 and op.lu is not None
+        before = op.matrix.data.copy()
+        nudged = acc.copy()
+        nudged[7] = np.nextafter(acc[7], np.inf)
+        step(nudged)
+        changed = np.flatnonzero(op.matrix.data != before)
+        assert len(changed) == 1
+        assert op.matrix.data[changed[0]] == np.nextafter(before[changed[0]],
+                                                          np.inf)
+        assert counting.factorizations == 3 and op.lu is None
+
+    def test_reused_factor_rejects_non_finite_rhs(self, case, counting):
+        problem, state = case[:2]
+        op = Operator(problem.top, problem.bc, "solute")
+        for _ in range(3):
+            self._step(op, case, state.u)
+        lu = op.lu
+        u_old = state.u.copy()
+        u_old[4] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            self._step(op, case, u_old)
+        assert counting.factorizations == 2 and op.lu is lu
+
+    def test_no_factor_kept_when_nothing_repeats(self, counting):
+        scenario = get_scenario("multi_fracture_injection")
+        k = 6
+        problem = scenario.with_grid(
+            TimeGrid(k * scenario.problem.grid.dt, k)).problem
+        run(problem)
+        assert counting.factorizations == 3 * k
+        for op in (problem.flow, problem.heat, problem.solute):
+            assert op.matrix is not None and op.lu is None
+
+    def test_study_factors_twice_per_run(self, counting):
+        # frozen pores and a prescribed velocity repeat every matrix:
+        # the split run and the monolithic reference each factor their
+        # first matrix and its first repeat
+        for da in STUDY_DAMKOHLER:
+            counting.factorizations = 0
+            splitting_error_study(splitting_problem_factory(da), [10, 20])
+            assert counting.factorizations == 8
+
+    def test_opening_run_matches_without_reuse(self, counting, monkeypatch):
+        def fields(problem):
+            state, reports = run(problem)
+            return ([getattr(state, name) for name in
+                     ("p", "theta", "u", "w", "pore", "react_prev",
+                      "bnd_flux")], reports)
+
+        scenario = get_scenario("multi_fracture_opening")
+        steps = scenario.problem.grid.num_steps
+        reused = fields(scenario.problem)
+        factorizations = counting.factorizations
+        # the same run with every system taken as new
+        monkeypatch.setattr(
+            physics, "assemble_arrays",
+            lambda plan, slots, vals, rhs, last=None:
+                assemble_arrays(plan, slots, vals, rhs))
+        counting.factorizations = 0
+        fresh = fields(scenario.with_grid(scenario.problem.grid).problem)
+        assert counting.factorizations == 3 * steps
+        assert factorizations < 2 * steps, "no matrix was reused"
+        assert reused[1] == fresh[1]
+        for got, want in zip(reused[0], fresh[0]):
+            assert np.array_equal(got, want)

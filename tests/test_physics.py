@@ -10,8 +10,8 @@ from fracreact.discretize import (boundary_transmissibilities, build_topology,
 from fracreact.errors import WellPosednessError
 from fracreact.linsolve import assemble_arrays, solve
 from fracreact.mesh import build_interval_mesh, build_structured_2d
-from fracreact.physics import (DIRICHLET, FLUX, OUTFLOW, PRESSURE, SegmentBC,
-                               _interface_resistance, _resolve_bc,
+from fracreact.physics import (DIRICHLET, FLUX, OUTFLOW, PRESSURE, Operator,
+                               SegmentBC, _interface_resistance,
                                darcy_step, flow_coefficients,
                                heat_step, solute_ad_step, solute_coefficients,
                                transport_step)
@@ -39,8 +39,8 @@ class TestDarcy:
         mesh, top = line
         params = PhysParams()
         pore = np.full(top.layout.ndof, params.phi0)
-        p, conn, bnd = darcy_step(top, pore, pore, params, _interval_bc(),
-                                  dt=0.1)
+        p, conn, bnd = darcy_step(Operator(top, _interval_bc(), "flow"),
+                                  pore, pore, params, dt=0.1)
         x = mesh.cell_centroids[:, 0]
         np.testing.assert_allclose(p, 1.0 - x, rtol=1e-10)
         # permeability at reference porosity is k0 = 1, so |q| = dp/dx = 1
@@ -53,8 +53,8 @@ class TestDarcy:
         _, top = line
         params = PhysParams()
         pore = np.full(top.layout.ndof, params.phi0)
-        _, conn, bnd = darcy_step(top, pore, pore, params, _interval_bc(),
-                                  dt=0.1)
+        _, conn, bnd = darcy_step(Operator(top, _interval_bc(), "flow"),
+                                  pore, pore, params, dt=0.1)
         div = assemble_mixed_divergence(top, conn, bnd)
         np.testing.assert_allclose(div, 0.0, atol=1e-12)
 
@@ -65,8 +65,8 @@ class TestDarcy:
         pore_star = pore_n.copy()
         pore_star[5] += 0.01     # growing pores withdraw fluid
         dt = 0.1
-        _, conn, bnd = darcy_step(top, pore_star, pore_n, params,
-                                  _interval_bc(), dt=dt)
+        _, conn, bnd = darcy_step(Operator(top, _interval_bc(), "flow"),
+                                  pore_star, pore_n, params, dt=dt)
         div = assemble_mixed_divergence(top, conn, bnd)
         expect = -(pore_star - pore_n) * top.layout.measure / dt
         np.testing.assert_allclose(div, expect, atol=1e-12)
@@ -79,7 +79,8 @@ class TestDarcy:
             "left": SegmentBC(flow=(FLUX, -2.0)),    # inflow of 2 (outward -2)
             "right": SegmentBC(flow=(PRESSURE, 0.0)),
         }
-        _, conn, bnd = darcy_step(top, pore, pore, params, bc, dt=0.1)
+        _, conn, bnd = darcy_step(Operator(top, bc, "flow"), pore, pore,
+                                  params, dt=0.1)
         assert np.sum(bnd) == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(conn, 2.0, rtol=1e-10)
 
@@ -90,15 +91,16 @@ class TestDarcy:
         bc = {"left": SegmentBC(flow=(FLUX, 1.0)),
               "right": SegmentBC(flow=(FLUX, -1.0))}
         with pytest.raises(WellPosednessError):
-            darcy_step(top, pore, pore, params, bc, dt=0.1)
+            darcy_step(Operator(top, bc, "flow"), pore, pore, params,
+                       dt=0.1)
 
     def test_missing_boundary_tag(self, line):
         _, top = line
         params = PhysParams()
         pore = np.full(top.layout.ndof, params.phi0)
         with pytest.raises(WellPosednessError):
-            darcy_step(top, pore, pore, params,
-                       {"left": SegmentBC(flow=(PRESSURE, 1.0))}, dt=0.1)
+            darcy_step(Operator(top, {"left": SegmentBC(flow=(PRESSURE, 1.0))},
+                                "flow"), pore, pore, params, dt=0.1)
 
     def test_rejects_transport_kind(self, line):
         _, top = line
@@ -107,7 +109,8 @@ class TestDarcy:
         bc = _interval_bc()
         bc["right"] = SegmentBC(flow=(DIRICHLET, 0.0))
         with pytest.raises(WellPosednessError, match="dirichlet"):
-            darcy_step(top, pore, pore, params, bc, dt=0.1)
+            darcy_step(Operator(top, bc, "flow"), pore, pore, params,
+                       dt=0.1)
 
     def test_conductive_fracture_increases_throughflow(self):
         params = PhysParams()
@@ -120,8 +123,8 @@ class TestDarcy:
         def total_inflow(mesh):
             top = build_topology(mesh)
             state = make_state(top, params)
-            _, _, bnd = darcy_step(top, state.pore, state.pore, params, bc,
-                                   dt=0.1)
+            _, _, bnd = darcy_step(Operator(top, bc, "flow"), state.pore,
+                                   state.pore, params, dt=0.1)
             return -np.sum(np.minimum(bnd, 0.0))
 
         plain = total_inflow(build_structured_2d(10, 10))
@@ -158,7 +161,8 @@ class TestFlowCoefficients:
 class TestTransport:
     def _flow(self, top, params, bc):
         pore = np.full(top.layout.ndof, params.phi0)
-        _, conn, bnd = darcy_step(top, pore, pore, params, bc, dt=0.1)
+        _, conn, bnd = darcy_step(Operator(top, bc, "flow"), pore, pore,
+                                  params, dt=0.1)
         return pore, conn, bnd
 
     def test_uniform_temperature_is_steady(self, line):
@@ -167,8 +171,8 @@ class TestTransport:
         bc = _interval_bc()
         pore, conn, bnd = self._flow(top, params, bc)
         state = make_state(top, params, theta=1.0)
-        theta, _ = heat_step(top, state, conn, bnd, pore, pore, params, bc,
-                             dt=0.1)
+        theta, _ = heat_step(Operator(top, bc, "heat"), state, conn, bnd,
+                             pore, pore, params, dt=0.1)
         np.testing.assert_allclose(theta, 1.0, rtol=1e-12)
 
     def test_heat_maximum_principle(self, line):
@@ -181,8 +185,8 @@ class TestTransport:
         pore, conn, bnd = self._flow(top, params, bc)
         state = make_state(top, params, theta=1.0)
         for _ in range(5):
-            theta, _ = heat_step(top, state, conn, bnd, pore, pore, params,
-                                 bc, dt=0.05)
+            theta, _ = heat_step(Operator(top, bc, "heat"), state, conn, bnd,
+                                 pore, pore, params, dt=0.05)
             state = state.copy()
             state.theta[:] = theta
         assert np.all(theta >= 1.0 - 1e-12)
@@ -199,8 +203,8 @@ class TestTransport:
         state = make_state(top, params)
         state.u[:] = rng.uniform(0.0, 1.0, top.layout.ndof)
         dt = 0.02
-        u, bnd_total = solute_ad_step(top, state, conn, bnd, pore, pore,
-                                      params, bc, dt=dt)
+        u, bnd_total = solute_ad_step(Operator(top, bc, "solute"), state,
+                                      conn, bnd, pore, pore, params, dt=dt)
         lay = top.layout
         m_old = float(np.sum(pore * state.u * lay.measure))
         m_new = float(np.sum(pore * u * lay.measure))
@@ -217,8 +221,9 @@ class TestTransport:
         pore = state.pore
         zero_conn = np.zeros(top.n_conn)
         zero_bnd = np.zeros(len(top.b_dof))
-        u, bnd_total = solute_ad_step(top, state, zero_conn, zero_bnd, pore,
-                                      pore, params, bc, dt=0.1)
+        u, bnd_total = solute_ad_step(Operator(top, bc, "solute"), state,
+                                      zero_conn, zero_bnd, pore, pore, params,
+                                      dt=0.1)
         lay = top.layout
         assert np.sum(pore * u * lay.measure) == pytest.approx(
             np.sum(pore * state.u * lay.measure), rel=1e-13)
@@ -234,8 +239,8 @@ class TestTransport:
         bc["left"] = SegmentBC(flow=(PRESSURE, 1.0), solute=(PRESSURE, 1.0))
         state = make_state(top, params)
         with pytest.raises(WellPosednessError, match="pressure"):
-            solute_ad_step(top, state, conn, bnd, pore, pore, params, bc,
-                           dt=0.1)
+            solute_ad_step(Operator(top, bc, "solute"), state, conn, bnd,
+                           pore, pore, params, dt=0.1)
 
     def test_dirichlet_inflow_raises_concentration(self, line):
         _, top = line
@@ -243,8 +248,8 @@ class TestTransport:
         bc = _interval_bc(u_in=2.0)
         pore, conn, bnd = self._flow(top, params, bc)
         state = make_state(top, params, u=0.0)
-        u, bnd_total = solute_ad_step(top, state, conn, bnd, pore, pore,
-                                      params, bc, dt=0.05)
+        u, bnd_total = solute_ad_step(Operator(top, bc, "solute"), state,
+                                      conn, bnd, pore, pore, params, dt=0.05)
         assert u[0] > 0.1
         assert np.all(u <= 2.0 + 1e-12)
         # net boundary total is an influx (negative outward sum)
@@ -408,8 +413,8 @@ class TestSharedAssembly:
     def test_case_exercises_every_closure(self, case):
         top, params, bc, state, pore_star, _ = case
         tags = np.asarray(top.seg_names)[top.b_seg]
-        _, _, bnd = darcy_step(top, pore_star, state.pore, params, bc,
-                               self.DT)
+        _, _, bnd = darcy_step(Operator(top, bc, "flow"), pore_star,
+                               state.pore, params, self.DT)
         for tag in ("bottom", "top"):       # inflow and outflow faces
             assert np.any(bnd[tags == tag] < 0) and np.any(bnd[tags == tag] > 0)
         assert np.any((top.b_face_id < 0) & (tags == "bottom"))   # tip
@@ -418,7 +423,8 @@ class TestSharedAssembly:
 
     def test_darcy_matches_reference(self, case):
         top, params, bc, state, pore_star, source = case
-        got = darcy_step(top, pore_star, state.pore, params, bc, self.DT)
+        got = darcy_step(Operator(top, bc, "flow"), pore_star, state.pore,
+                         params, self.DT)
         want = _reference_darcy(top, pore_star, state.pore, params, bc,
                                 self.DT)
         for a, b in zip(got, want):
@@ -426,17 +432,17 @@ class TestSharedAssembly:
 
     def test_transport_matches_reference(self, case):
         top, params, bc, state, pore_star, source = case
-        _, conn, bnd = darcy_step(top, pore_star, state.pore, params, bc,
-                                  self.DT)
+        _, conn, bnd = darcy_step(Operator(top, bc, "flow"), pore_star,
+                                  state.pore, params, self.DT)
         coef, resist = solute_coefficients(top, pore_star, params)
         acc_new = pore_star * top.layout.measure
         acc_old = state.pore * top.layout.measure
-        kinds, values = _resolve_bc(top, bc, "solute")
         ref_kinds, ref_values = _reference_bc(top, bc, "solute")
-        got = transport_step(top, transmissibilities(top, coef, resist),
+        got = transport_step(Operator(top, bc, "solute"),
+                             transmissibilities(top, coef, resist),
                              boundary_transmissibilities(top, coef), acc_new,
-                             acc_old, state.u, conn, bnd, 1.7, kinds, values,
-                             self.DT, source=source)
+                             acc_old, state.u, conn, bnd, 1.7, self.DT,
+                             source=source)
         want = _reference_transport(top, coef, resist, acc_new, acc_old,
                                     state.u, conn, bnd, 1.7, ref_kinds,
                                     ref_values, self.DT, source=source)
@@ -447,18 +453,17 @@ class TestSharedAssembly:
         # the monolithic reference passes its linear reaction as part of
         # the accumulation and the source
         top, params, bc, state, pore_star, _ = case
-        _, conn, bnd = darcy_step(top, pore_star, state.pore, params, bc,
-                                  self.DT)
+        _, conn, bnd = darcy_step(Operator(top, bc, "flow"), pore_star,
+                                  state.pore, params, self.DT)
         coef, resist = solute_coefficients(top, state.pore, params)
         acc = state.pore * top.layout.measure
         lam, u_e = 0.8, 1.3
-        kinds, values = _resolve_bc(top, bc, "solute")
         ref_kinds, ref_values = _reference_bc(top, bc, "solute")
-        got = transport_step(top, transmissibilities(top, coef, resist),
+        got = transport_step(Operator(top, bc, "solute"),
+                             transmissibilities(top, coef, resist),
                              boundary_transmissibilities(top, coef),
                              acc + self.DT * (acc * lam / u_e), acc, state.u,
-                             conn, bnd, 1.0, kinds, values, self.DT,
-                             source=acc * lam)
+                             conn, bnd, 1.0, self.DT, source=acc * lam)
         want = _reference_transport(top, coef, resist, acc, acc, state.u,
                                     conn, bnd, 1.0, ref_kinds, ref_values,
                                     self.DT, reaction_diag=acc * lam / u_e,

@@ -10,8 +10,8 @@ from fracreact.constitutive import PhysParams
 from fracreact.discretize import build_topology
 from fracreact.errors import FracReactError
 from fracreact.mesh import build_interval_mesh
-from fracreact.physics import (DIRICHLET, OUTFLOW, PRESSURE, SegmentBC,
-                               darcy_step, solute_ad_step)
+from fracreact.physics import (DIRICHLET, OUTFLOW, PRESSURE, Operator,
+                               SegmentBC, darcy_step, solute_ad_step)
 from fracreact.scenarios import (get_scenario, make_eta, make_state,
                                  splitting_problem_factory)
 from fracreact.splitting import (Problem, StepReport, TimeGrid, advance_step,
@@ -36,6 +36,18 @@ class TestTimeGrid:
     def test_non_finite_rejected(self, t_end, num_steps):
         with pytest.raises(ValueError, match="finite"):
             TimeGrid(t_end, num_steps)
+
+    @pytest.mark.parametrize("num_steps", [2.5, 4.0, "4"])
+    def test_non_integral_step_count_rejected(self, num_steps):
+        # range() in run() would fail on it after the set-up
+        with pytest.raises(ValueError, match="integer"):
+            TimeGrid(1.0, num_steps)
+
+    def test_numpy_integer_step_count(self):
+        problem = _simple_problem(num_steps=np.int64(3))
+        assert problem.grid.dt == pytest.approx(0.05 / 3)
+        _, reports = run(problem)
+        assert [r.step for r in reports] == [0, 1, 2, 3]
 
 
 class TestStepReport:
@@ -103,11 +115,11 @@ class TestAdvanceStep:
         np.testing.assert_array_equal(new.pore, state0.pore)
         assert report.event_count == 0
         # the solute equals a direct advection-diffusion solve bit-for-bit
-        p, conn, bnd = darcy_step(problem.top, state0.pore, state0.pore,
-                                  problem.params, problem.bc, dt)
-        u_direct, _ = solute_ad_step(problem.top, state0, conn, bnd,
-                                     state0.pore, state0.pore,
-                                     problem.params, problem.bc, dt)
+        p, conn, bnd = darcy_step(Operator(problem.top, problem.bc, "flow"),
+                                  state0.pore, state0.pore, problem.params, dt)
+        u_direct, _ = solute_ad_step(
+            Operator(problem.top, problem.bc, "solute"), state0, conn, bnd,
+            state0.pore, state0.pore, problem.params, dt)
         assert np.array_equal(new.u, u_direct)
         assert np.array_equal(new.p, p)
 
