@@ -32,35 +32,18 @@ import dataclasses
 import math
 import os
 import re
+from functools import partial
 
 import numpy as np
 
 from .chemistry import ReactionParams
 from .constitutive import PhysParams
-from .discretize import build_topology
 from .errors import ConfigurationError
 from .mesh import build_interval_mesh, build_structured_2d
-from .physics import DIRICHLET, FLOW_KINDS, TRANSPORT_KINDS, SegmentBC
-from .scenarios import (Scenario, dof_centroids, make_eta, make_state,
-                        _region_mask)
-from .splitting import Problem, TimeGrid
+from .physics import DIRICHLET, FLOW_KINDS, FLUX, TRANSPORT_KINDS, SegmentBC
+from .scenarios import Scenario, make_scenario
+from .splitting import TimeGrid
 
-_PARAM_KEYS = {f.name for f in dataclasses.fields(PhysParams)}
-_CHEM_KEYS = {"lambda0", "act", "u_e", "rate_power", "scheme"}
-_DOMAIN_KEYS = {"kind", "length", "num_cells", "nx", "ny",
-                "xmin", "xmax", "ymin", "ymax"}
-_INITIAL_KEYS = {"p", "theta", "u", "w", "fracture_aperture",
-                 "intersection_aperture", "fracture_w", "intersection_w",
-                 "u_region", "w_region"}
-_TIME_KEYS = {"t_end", "num_steps"}
-_OUTPUT_KEYS = {"name", "every"}
-_BC_KEYS = {"flow", "heat", "solute"}
-# initial values that must be positive; all others but ``p`` must not be
-# negative
-_POSITIVE_INITIAL = {"theta", "fracture_aperture", "intersection_aperture"}
-# initial values of fracture and intersection dofs
-_LOWER_DIM_INITIAL = {"fracture_aperture", "intersection_aperture",
-                      "fracture_w", "intersection_w"}
 _HEADER = re.compile(r"\s*\[([^\]]+)\]")
 
 
@@ -96,62 +79,158 @@ class _Source:
         where = f"{self.path}:{loc}" if loc else self.path
         raise ConfigurationError(f"{where}: {keypath}: {message}")
 
-    def require_sign(self, keypath: str, value: float, positive: bool):
-        """Reject a negative value, and zero too if ``positive``."""
-        if value < 0 or (positive and value == 0):
-            sign = "positive" if positive else "non-negative"
-            self.error(keypath, f"must be {sign}, got {value}")
+    def parse(self, keypath: str, parse, raw: str):
+        """``parse(raw)``; its ValueError becomes an error at ``keypath``."""
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            self.error(keypath, str(exc))
+
+    def build(self, context: str, factory, **kwargs):
+        """``factory(**kwargs)``; its ValueError or ConfigurationError
+        becomes an error naming the file and ``context``."""
+        try:
+            return factory(**kwargs)
+        except (ValueError, ConfigurationError) as exc:
+            raise ConfigurationError(f"{self.path}: {context}{exc}") from exc
 
 
-def _get_float(src: _Source, section, key, raw):
+def _number(raw):
+    """A finite float. Each value parser takes the raw text and raises
+    ValueError with the message to report."""
     try:
         value = float(raw)
     except ValueError:
-        src.error(f"{section}.{key}", f"expected a number, got {raw!r}")
+        raise ValueError(f"expected a number, got {raw!r}") from None
     if not math.isfinite(value):
-        src.error(f"{section}.{key}", f"expected a finite number, got {raw!r}")
+        raise ValueError(f"expected a finite number, got {raw!r}")
     return value
 
 
-def _get_int(src: _Source, section, key, raw):
+def _integer(raw):
     try:
         return int(raw)
     except ValueError:
-        src.error(f"{section}.{key}", f"expected an integer, got {raw!r}")
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _check_keys(src: _Source, cp, section, allowed):
-    for key in cp[section]:
-        if key not in allowed:
-            src.error(f"{section}.{key}", "unknown key")
+def _signed(parse, positive=False):
+    """``parse`` that rejects a negative value, and zero too if ``positive``."""
+    def checked(raw):
+        value = parse(raw)
+        if value < 0 or (positive and value == 0):
+            sign = "positive" if positive else "non-negative"
+            raise ValueError(f"must be {sign}, got {value}")
+        return value
+    return checked
 
 
-def _parse_bc_entry(src: _Source, section, key, raw, kinds):
-    parts = raw.split()
-    if not parts or parts[0] not in kinds:
-        src.error(f"{section}.{key}",
-                  f"expected one of {sorted(kinds)} followed by an optional "
-                  f"value, got {raw!r}")
-    kind = parts[0]
-    if len(parts) == 1:
-        value = 0.0
-    elif len(parts) == 2:
-        value = _get_float(src, section, key, parts[1])
-    else:
-        src.error(f"{section}.{key}", f"too many fields in {raw!r}")
-    return kind, value
+_positive = _signed(_number, positive=True)
+_non_negative = _signed(_number)
 
 
-def _parse_region(src: _Source, section, key, raw, dim):
+def _scheme(raw):
+    scheme = raw.strip()
+    if scheme not in ("explicit-euler", "heun"):
+        raise ValueError(f"unknown reaction scheme {scheme!r}")
+    return scheme
+
+
+def _bc_entry(kinds, positive=False):
+    """Parser of ``kind [value]``; a Dirichlet value must not be negative,
+    nor zero if ``positive``."""
+    def parse(raw):
+        parts = raw.split()
+        if not parts or parts[0] not in kinds:
+            raise ValueError(f"expected one of {sorted(kinds)} followed by an "
+                             f"optional value, got {raw!r}")
+        if len(parts) > 2:
+            raise ValueError(f"too many fields in {raw!r}")
+        value = _number(parts[1]) if len(parts) == 2 else 0.0
+        if parts[0] == DIRICHLET:
+            _signed(float, positive)(value)
+        return parts[0], value
+    return parse
+
+
+def _points(raw):
+    poly = []
+    for part in raw.split(";"):
+        nums = part.split()
+        if len(nums) != 2:
+            raise ValueError(f"expected 'x y' pairs separated by ';', got {raw!r}")
+        poly.append((_number(nums[0]), _number(nums[1])))
+    if len(poly) < 2:
+        raise ValueError("a polyline needs at least 2 points")
+    return poly
+
+
+def _region(raw, dim):
+    """(lo, hi, value) of ``x0 x1 [y0 y1] value``."""
     parts = raw.split()
     want = 2 * dim + 1
     if len(parts) != want:
-        src.error(f"{section}.{key}",
-                  f"expected {want} numbers (bounds then value), got {raw!r}")
-    nums = [_get_float(src, section, key, p) for p in parts]
-    lo = nums[0:2 * dim:2]
-    hi = nums[1:2 * dim:2]
-    return np.asarray(lo), np.asarray(hi), nums[-1]
+        raise ValueError(f"expected {want} numbers (bounds then value), got {raw!r}")
+    nums = [_number(p) for p in parts]
+    return (np.asarray(nums[0:2 * dim:2]), np.asarray(nums[1:2 * dim:2]),
+            _signed(float)(nums[-1]))
+
+
+class _Required(str):
+    """Default of a key that must be set: the message if it is not."""
+
+
+# Section (the part of its name before any ".") -> key -> (parser,
+# default). ``[initial]``'s keys but the two regions are ``make_scenario``'s
+# keywords; a default of None leaves the value to it.
+_SCHEMA = {
+    "domain": {"kind": (str.strip, "interval"), "length": (_number, 1.0),
+               "num_cells": (_integer, _Required("required for interval domains")),
+               "nx": (_integer, _Required("required for rectangle domains")),
+               "ny": (_integer, _Required("required for rectangle domains")),
+               "xmin": (_number, 0.0), "xmax": (_number, 1.0),
+               "ymin": (_number, 0.0), "ymax": (_number, 1.0)},
+    "fracture": {"points": (_points, _Required("required"))},
+    "params": {f.name: (_number, f.default)
+               for f in dataclasses.fields(PhysParams)},
+    "chemistry": {**{f.name: (_number, f.default)
+                     for f in dataclasses.fields(ReactionParams)},
+                  "scheme": (_scheme, "explicit-euler")},
+    "bc": {"flow": (_bc_entry(FLOW_KINDS), (FLUX, 0.0)),
+           "heat": (_bc_entry(TRANSPORT_KINDS, positive=True), (FLUX, 0.0)),
+           "solute": (_bc_entry(TRANSPORT_KINDS), (FLUX, 0.0))},
+    "initial": {"p": (_number, 0.0), "theta": (_positive, 1.0),
+                "u": (_non_negative, 0.0), "w": (_non_negative, 0.0),
+                "fracture_aperture": (_positive, None),
+                "intersection_aperture": (_positive, None),
+                "fracture_w": (_non_negative, None),
+                "intersection_w": (_non_negative, None),
+                "u_region": (str.strip, None), "w_region": (str.strip, None)},
+    "time": {"t_end": (_number, _Required("required")),
+             "num_steps": (_integer, _Required("required"))},
+    "output": {"name": (str.strip, None), "every": (_signed(_integer), 10)},
+}
+_NUMBERED = ("fracture", "bc")  # sections named [<prefix>.<suffix>]
+
+
+def _section(src: _Source, cp, section: str, keys=None) -> dict:
+    """Values of ``section``'s keys, or of ``keys`` only: parsed where the
+    file sets them, else the table's default. Rejects unknown keys."""
+    table = _SCHEMA[section.partition(".")[0]]
+    raw = cp[section] if cp.has_section(section) else {}
+    for key in raw:
+        if key not in table:
+            src.error(f"{section}.{key}", "unknown key")
+    values = {}
+    for key in keys or table:
+        parse, default = table[key]
+        if key in raw:
+            values[key] = src.parse(f"{section}.{key}", parse, raw[key])
+        elif isinstance(default, _Required):
+            src.error(f"{section}.{key}", default)
+        else:
+            values[key] = default
+    return values
 
 
 def parse_config(path) -> Scenario:
@@ -165,189 +244,81 @@ def parse_config(path) -> Scenario:
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
-    known_fixed = {"domain", "params", "chemistry", "initial", "time", "output"}
     for section in cp.sections():
-        if section in known_fixed:
-            continue
-        if section.startswith("fracture.") or section.startswith("bc."):
-            continue
-        src.error(section, "unknown section")
+        prefix, dot, _ = section.partition(".")
+        if prefix not in _SCHEMA or bool(dot) != (prefix in _NUMBERED):
+            src.error(section, "unknown section")
 
-    # --- domain ------------------------------------------------------------
     if "domain" not in cp:
         raise ConfigurationError(f"{path}: missing [domain] section")
-    _check_keys(src, cp, "domain", _DOMAIN_KEYS)
-    dom = cp["domain"]
-    kind = dom.get("kind", "interval").strip()
-    fractures = _parse_fractures(src, cp)
+    kind = _section(src, cp, "domain", ["kind"])["kind"]
+    fractures = []
+    for section in cp.sections():
+        if section.startswith("fracture."):
+            try:
+                index = int(section.partition(".")[2])
+            except ValueError:
+                src.error(section, "fracture sections must be numbered "
+                          "[fracture.0], [fracture.1], ...")
+            fractures.append((index, _section(src, cp, section)["points"]))
+    fractures = [poly for _, poly in sorted(fractures)]
     if kind == "interval":
         if fractures:
             src.error("domain.kind", "interval domains cannot carry fractures")
-        length = _get_float(src, "domain", "length", dom.get("length", "1.0"))
-        if "num_cells" not in dom:
-            src.error("domain.num_cells", "required for interval domains")
-        n = _get_int(src, "domain", "num_cells", dom["num_cells"])
-        mesh = build_interval_mesh(length, n)
-        dim = 1
+        dom = _section(src, cp, "domain", ["length", "num_cells"])
+        mesh = src.build("", build_interval_mesh, **dom)
     elif kind == "rectangle":
-        for req in ("nx", "ny"):
-            if req not in dom:
-                src.error(f"domain.{req}", "required for rectangle domains")
-        nx = _get_int(src, "domain", "nx", dom["nx"])
-        ny = _get_int(src, "domain", "ny", dom["ny"])
-        bounds = tuple(_get_float(src, "domain", k, dom.get(k, d))
-                       for k, d in (("xmin", "0"), ("xmax", "1"),
-                                    ("ymin", "0"), ("ymax", "1")))
-        domain = (bounds[0], bounds[1], bounds[2], bounds[3])
-        mesh = build_structured_2d(nx, ny, domain=domain, fractures=fractures)
-        dim = 2
+        dom = _section(src, cp, "domain",
+                       ["nx", "ny", "xmin", "xmax", "ymin", "ymax"])
+        mesh = src.build("", build_structured_2d, nx=dom["nx"], ny=dom["ny"],
+                         domain=(dom["xmin"], dom["xmax"], dom["ymin"],
+                                 dom["ymax"]),
+                         fractures=fractures)
     else:
         src.error("domain.kind", f"unknown domain kind {kind!r}")
 
-    # --- params and chemistry ----------------------------------------------
-    kwargs = {}
-    if "params" in cp:
-        _check_keys(src, cp, "params", _PARAM_KEYS)
-        for key, raw in cp["params"].items():
-            kwargs[key] = _get_float(src, "params", key, raw)
-    try:
-        params = PhysParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    params = src.build("", PhysParams, **_section(src, cp, "params"))
+    chemistry = _section(src, cp, "chemistry")
+    scheme = chemistry.pop("scheme")
+    reaction = src.build("chemistry: ", ReactionParams, **chemistry)
 
-    chem_kwargs = {}
-    scheme = "explicit-euler"
-    if "chemistry" in cp:
-        _check_keys(src, cp, "chemistry", _CHEM_KEYS)
-        for key, raw in cp["chemistry"].items():
-            if key == "scheme":
-                scheme = raw.strip()
-                if scheme not in ("explicit-euler", "heun"):
-                    src.error("chemistry.scheme",
-                              f"unknown reaction scheme {scheme!r}")
-            else:
-                chem_kwargs[key] = _get_float(src, "chemistry", key, raw)
-    try:
-        reaction = ReactionParams(**chem_kwargs)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: chemistry: {exc}") from exc
-
-    # --- boundary conditions ------------------------------------------------
-    bc = {}
-    for section in cp.sections():
-        if not section.startswith("bc."):
-            continue
-        tag = section[3:]
-        _check_keys(src, cp, section, _BC_KEYS)
-        entries = {}
-        for key, raw in cp[section].items():
-            kinds = FLOW_KINDS if key == "flow" else TRANSPORT_KINDS
-            entries[key] = _parse_bc_entry(src, section, key, raw, kinds)
-            if key != "flow" and entries[key][0] == DIRICHLET:
-                src.require_sign(f"{section}.{key}", entries[key][1],
-                                 positive=key == "heat")
-        bc[tag] = SegmentBC(**entries)
-    present_tags = set(bc)
-    needed_tags = set(mesh.tag_names)
-    missing = needed_tags - present_tags
+    bc = {section[3:]: SegmentBC(**_section(src, cp, section))
+          for section in cp.sections() if section.startswith("bc.")}
+    missing = set(mesh.tag_names) - set(bc)
     if missing:
         raise ConfigurationError(
             f"{path}: missing [bc.<tag>] sections for boundary segments "
             f"{sorted(missing)}")
-    unknown = present_tags - needed_tags
+    unknown = set(bc) - set(mesh.tag_names)
     if unknown:
         raise ConfigurationError(
             f"{path}: [bc.*] sections for unknown boundary segments "
-            f"{sorted(unknown)}; mesh has {sorted(needed_tags)}")
+            f"{sorted(unknown)}; mesh has {sorted(mesh.tag_names)}")
 
-    # --- time ---------------------------------------------------------------
     if "time" not in cp:
         raise ConfigurationError(f"{path}: missing [time] section")
-    _check_keys(src, cp, "time", _TIME_KEYS)
-    for req in _TIME_KEYS:
-        if req not in cp["time"]:
-            src.error(f"time.{req}", "required")
-    t_end = _get_float(src, "time", "t_end", cp["time"]["t_end"])
-    num_steps = _get_int(src, "time", "num_steps", cp["time"]["num_steps"])
-    try:
-        grid = TimeGrid(t_end, num_steps)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: time: {exc}") from exc
+    grid = src.build("time: ", TimeGrid, **_section(src, cp, "time"))
 
-    # --- initial state ------------------------------------------------------
-    top = build_topology(mesh)
-    lay = top.layout
-    init = cp["initial"] if "initial" in cp else {}
-    if "initial" in cp:
-        _check_keys(src, cp, "initial", _INITIAL_KEYS)
-        if dim == 1:
-            for key in sorted(_LOWER_DIM_INITIAL & set(init)):
+    if mesh.dim == 1 and "initial" in cp:
+        for key in sorted(cp["initial"]):
+            if key.startswith(("fracture_", "intersection_")) and \
+                    key in _SCHEMA["initial"]:
                 src.error(f"initial.{key}", "interval domains have no "
                           "fractures or intersections")
+    initial = _section(src, cp, "initial")
+    regions = {}
+    for field in ("u", "w"):
+        key = f"{field}_region"
+        raw = initial.pop(key)
+        if raw is not None:
+            regions[field] = src.parse(f"initial.{key}",
+                                       partial(_region, dim=mesh.dim), raw)
 
-    def init_float(key, default):
-        value = _get_float(src, "initial", key, init.get(key, str(default)))
-        if key != "p":
-            src.require_sign(f"initial.{key}", value,
-                             positive=key in _POSITIVE_INITIAL)
-        return value
-
-    state = make_state(
-        top, params, p=init_float("p", 0.0), theta=init_float("theta", 1.0),
-        u=init_float("u", 0.0), w=init_float("w", 0.0),
-        frac_aperture=init_float("fracture_aperture", params.epsgamma0),
-        iota_aperture=init_float("intersection_aperture", params.epsiota0))
-    if "fracture_w" in init:
-        state.w[lay.is_frac] = init_float("fracture_w", 0.0)
-    if "intersection_w" in init:
-        state.w[lay.is_inter] = init_float("intersection_w", 0.0)
-    coords = dof_centroids(mesh, top)
-    for key, target in (("u_region", state.u), ("w_region", state.w)):
-        if key in init:
-            lo, hi, value = _parse_region(src, "initial", key, init[key], dim)
-            src.require_sign(f"initial.{key}", value, positive=False)
-            target[_region_mask(coords, lo, hi)] = value
-
-    # --- output -------------------------------------------------------------
-    name = os.path.splitext(os.path.basename(path))[0]
-    every = 10
-    if "output" in cp:
-        _check_keys(src, cp, "output", _OUTPUT_KEYS)
-        out = cp["output"]
-        name = out.get("name", name).strip()
-        every = _get_int(src, "output", "every", out.get("every", "10"))
-
-    problem = Problem(top=top, state0=state, grid=grid, params=params,
-                      reaction=reaction, bc=bc, eta=make_eta(top, params),
-                      reaction_scheme=scheme)
-    return Scenario(name=name, mesh=mesh, problem=problem, output_every=every)
-
-
-def _parse_fractures(src: _Source, cp) -> list[list[tuple[float, float]]]:
-    entries = []
-    for section in cp.sections():
-        if not section.startswith("fracture."):
-            continue
-        suffix = section.split(".", 1)[1]
-        try:
-            index = int(suffix)
-        except ValueError:
-            src.error(section, "fracture sections must be numbered "
-                      "[fracture.0], [fracture.1], ...")
-        _check_keys(src, cp, section, {"points"})
-        if "points" not in cp[section]:
-            src.error(f"{section}.points", "required")
-        raw = cp[section]["points"]
-        poly = []
-        for part in raw.split(";"):
-            nums = part.split()
-            if len(nums) != 2:
-                src.error(f"{section}.points",
-                          f"expected 'x y' pairs separated by ';', got {raw!r}")
-            poly.append((_get_float(src, section, "points", nums[0]),
-                         _get_float(src, section, "points", nums[1])))
-        if len(poly) < 2:
-            src.error(f"{section}.points", "a polyline needs at least 2 points")
-        entries.append((index, poly))
-    entries.sort()
-    return [poly for _, poly in entries]
+    output = _section(src, cp, "output")
+    name = output["name"]
+    if name is None:
+        name = os.path.splitext(os.path.basename(path))[0]
+    return make_scenario(name, mesh, bc=bc, grid=grid, params=params,
+                         reaction=reaction, regions=regions,
+                         output_every=output["every"],
+                         reaction_scheme=scheme, **initial)

@@ -94,10 +94,33 @@ def prescribed_interval_flux(mesh: MixedDimMesh, top: Topology, velocity):
     return flux(top.face_id), flux(top.b_face_id)
 
 
-def _region_mask(coords: np.ndarray, lo, hi) -> np.ndarray:
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return np.all((coords >= lo) & (coords <= hi), axis=1)
+def make_scenario(name: str, mesh: MixedDimMesh, *, bc, grid, params, reaction,
+                  p=0.0, theta=1.0, u=0.0, w=0.0, fracture_aperture=None,
+                  intersection_aperture=None, fracture_w=None,
+                  intersection_w=None, regions=None, output_every=10,
+                  solve_heat=True, reaction_scheme="explicit-euler") -> Scenario:
+    """The scenario of ``mesh``; the initial values are the INI
+    ``[initial]`` keys. ``regions`` maps ``"u"`` or ``"w"`` to ``(lo, hi,
+    value)``: the value on every dof whose centroid lies in [lo, hi]."""
+    top = build_topology(mesh)
+    lay = top.layout
+    state = make_state(top, params, p=p, theta=theta, u=u, w=w,
+                       frac_aperture=fracture_aperture,
+                       iota_aperture=intersection_aperture)
+    if fracture_w is not None:
+        state.w[lay.is_frac] = fracture_w
+    if intersection_w is not None:
+        state.w[lay.is_inter] = intersection_w
+    if regions:
+        coords = dof_centroids(mesh, top)
+        for field, (lo, hi, value) in regions.items():
+            inside = np.all((coords >= lo) & (coords <= hi), axis=1)
+            getattr(state, field)[inside] = value
+    problem = Problem(top=top, state0=state, grid=grid, params=params,
+                      reaction=reaction, bc=bc, eta=make_eta(top, params),
+                      solve_heat=solve_heat, reaction_scheme=reaction_scheme)
+    return Scenario(name=name, mesh=mesh, problem=problem,
+                    output_every=output_every)
 
 
 def staircase_polyline(start, end, h) -> list[tuple[float, float]]:
@@ -136,21 +159,13 @@ def build_test1d_pulse() -> Scenario:
     The mass-balance defect stays at machine precision by construction
     of the splitting scheme; this scenario is the canonical audit case.
     """
-    mesh = build_interval_mesh(1.0, 100)
-    top = build_topology(mesh)
-    params = PhysParams(d=0.02, eta_omega=1.0)
-    reaction = ReactionParams(lambda0=1.0, act=0.0, u_e=1.0, rate_power=2.0)
-    state = make_state(top, params)
-    x = mesh.cell_centroids[:, 0]
-    state.u[:top.layout.n_bulk] = np.where((x >= 0.4) & (x <= 0.6), 2.0, 0.0)
-    bc = {
-        "left": SegmentBC(flow=(PRESSURE, 1.0), solute=(DIRICHLET, 0.0)),
-        "right": SegmentBC(flow=(PRESSURE, 0.0), solute=(OUTFLOW, 0.0)),
-    }
-    problem = Problem(top=top, state0=state, grid=TimeGrid(0.048, 60),
-                      params=params, reaction=reaction, bc=bc,
-                      eta=make_eta(top, params), solve_heat=False)
-    return Scenario(name="test1d_pulse", mesh=mesh, problem=problem)
+    return make_scenario(
+        "test1d_pulse", build_interval_mesh(1.0, 100),
+        bc={"left": SegmentBC(flow=(PRESSURE, 1.0), solute=(DIRICHLET, 0.0)),
+            "right": SegmentBC(flow=(PRESSURE, 0.0), solute=(OUTFLOW, 0.0))},
+        grid=TimeGrid(0.048, 60), params=PhysParams(d=0.02, eta_omega=1.0),
+        reaction=ReactionParams(lambda0=1.0, act=0.0, u_e=1.0, rate_power=2.0),
+        regions={"u": ((0.4,), (0.6,), 2.0)}, solve_heat=False)
 
 
 def splitting_problem_factory(da: float):
@@ -272,31 +287,19 @@ def _single_fracture_mesh() -> MixedDimMesh:
 def build_single_fracture_injection() -> Scenario:
     """Hot, oversaturated water enters a square domain cut by one highly
     conductive fracture; precipitation clogs the fracture."""
-    mesh = _single_fracture_mesh()
-    top = build_topology(mesh)
-    params = PhysParams()
-    state = make_state(top, params, w=0.3)
-    problem = Problem(top=top, state0=state, grid=TimeGrid(3.0, 60),
-                      params=params, reaction=ReactionParams(),
-                      bc=_square_bc(u_in=2.0), eta=make_eta(top, params))
-    return Scenario(name="single_fracture_injection",
-                    mesh=mesh, problem=problem)
+    return make_scenario("single_fracture_injection", _single_fracture_mesh(),
+                         bc=_square_bc(u_in=2.0), grid=TimeGrid(3.0, 60),
+                         params=PhysParams(), reaction=ReactionParams(),
+                         w=0.3)
 
 
 def build_single_fracture_opening() -> Scenario:
     """Clean hot water dissolves a precipitate block around the domain
     centre, opening the fracture that crosses it."""
-    mesh = _single_fracture_mesh()
-    top = build_topology(mesh)
-    params = PhysParams()
-    state = make_state(top, params)
-    coords = dof_centroids(mesh, top)
-    in_square = _region_mask(coords, (0.4, 0.4), (0.6, 0.6))
-    state.w[in_square] = 1.0
-    problem = Problem(top=top, state0=state, grid=TimeGrid(5.0, 100),
-                      params=params, reaction=ReactionParams(),
-                      bc=_square_bc(u_in=0.0), eta=make_eta(top, params))
-    return Scenario(name="single_fracture_opening", mesh=mesh, problem=problem)
+    return make_scenario("single_fracture_opening", _single_fracture_mesh(),
+                         bc=_square_bc(u_in=0.0), grid=TimeGrid(5.0, 100),
+                         params=PhysParams(), reaction=ReactionParams(),
+                         regions={"w": ((0.4, 0.4), (0.6, 0.6), 1.0)})
 
 
 def _fracture_network() -> list[list[tuple[float, float]]]:
@@ -328,32 +331,22 @@ def _multi_mesh() -> MixedDimMesh:
 def build_multi_fracture_injection() -> Scenario:
     """Solute injection into an intersecting fracture network; the
     fractures clog faster than the surrounding matrix."""
-    mesh = _multi_mesh()
-    params = PhysParams(eta_gamma=4.0, eta_iota=4.0)
-    top = build_topology(mesh)
-    state = make_state(top, params, w=0.3)
-    problem = Problem(top=top, state0=state, grid=TimeGrid(2.5, 50),
-                      params=params, reaction=ReactionParams(),
-                      bc=_square_bc(u_in=2.0), eta=make_eta(top, params))
-    return Scenario(name="multi_fracture_injection",
-                    mesh=mesh, problem=problem)
+    return make_scenario("multi_fracture_injection", _multi_mesh(),
+                         bc=_square_bc(u_in=2.0), grid=TimeGrid(2.5, 50),
+                         params=PhysParams(eta_gamma=4.0, eta_iota=4.0),
+                         reaction=ReactionParams(), w=0.3)
 
 
 def build_multi_fracture_opening() -> Scenario:
     """Clean hot water dissolves precipitate-filled, nearly closed
     fractures; every fracture aperture grows to a common plateau once
     its precipitate is exhausted."""
-    mesh = _multi_mesh()
-    params = PhysParams(eta_gamma=4.0, eta_iota=4.0)
-    top = build_topology(mesh)
-    lay = top.layout
-    state = make_state(top, params, frac_aperture=1e-4, iota_aperture=1e-4)
-    state.w[lay.is_frac] = 10.0
-    state.w[lay.is_inter] = 10.0
-    problem = Problem(top=top, state0=state, grid=TimeGrid(5.0, 100),
-                      params=params, reaction=ReactionParams(),
-                      bc=_square_bc(u_in=0.0), eta=make_eta(top, params))
-    return Scenario(name="multi_fracture_opening", mesh=mesh, problem=problem)
+    return make_scenario("multi_fracture_opening", _multi_mesh(),
+                         bc=_square_bc(u_in=0.0), grid=TimeGrid(5.0, 100),
+                         params=PhysParams(eta_gamma=4.0, eta_iota=4.0),
+                         reaction=ReactionParams(), fracture_aperture=1e-4,
+                         intersection_aperture=1e-4, fracture_w=10.0,
+                         intersection_w=10.0)
 
 
 # ---------------------------------------------------------------------------
