@@ -96,6 +96,8 @@ def _cmd_run(args) -> int:
           f"{elapsed:.2f} s")
     print(f"  final mass_u={last.mass_u:.6e} mass_w={last.mass_w:.6e} "
           f"max|delta_m|={max_dm:.3e}")
+    print(f"  events: {sum(r.clamp_events for r in reports)} pore-fraction "
+          f"clamps, {sum(r.event_count for r in reports)} reaction events")
     print(f"  outputs in {os.path.abspath(args.out)}")
     return 0
 

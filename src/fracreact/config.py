@@ -211,6 +211,8 @@ _SCHEMA = {
     "output": {"name": (str.strip, None), "every": (_signed(_integer), 10)},
 }
 _NUMBERED = ("fracture", "bc")  # sections named [<prefix>.<suffix>]
+_DOMAIN_KEYS = {"interval": ["length", "num_cells"],
+                "rectangle": ["nx", "ny", "xmin", "xmax", "ymin", "ymax"]}
 
 
 def _section(src: _Source, cp, section: str, keys=None) -> dict:
@@ -238,7 +240,9 @@ def parse_config(path) -> Scenario:
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
     src = _Source(path)
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # the format defines no interpolation: a "%" is literal
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
     try:
         cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -262,20 +266,21 @@ def parse_config(path) -> Scenario:
                           "[fracture.0], [fracture.1], ...")
             fractures.append((index, _section(src, cp, section)["points"]))
     fractures = [poly for _, poly in sorted(fractures)]
+    if kind not in _DOMAIN_KEYS:
+        src.error("domain.kind", f"unknown domain kind {kind!r}")
+    if kind == "interval" and fractures:
+        src.error("domain.kind", "interval domains cannot carry fractures")
+    dom = _section(src, cp, "domain", _DOMAIN_KEYS[kind])
+    for key in cp["domain"]:
+        if key not in dom and key != "kind":
+            src.error(f"domain.{key}", f"not a key of {kind} domains")
     if kind == "interval":
-        if fractures:
-            src.error("domain.kind", "interval domains cannot carry fractures")
-        dom = _section(src, cp, "domain", ["length", "num_cells"])
         mesh = src.build("", build_interval_mesh, **dom)
-    elif kind == "rectangle":
-        dom = _section(src, cp, "domain",
-                       ["nx", "ny", "xmin", "xmax", "ymin", "ymax"])
+    else:
         mesh = src.build("", build_structured_2d, nx=dom["nx"], ny=dom["ny"],
                          domain=(dom["xmin"], dom["xmax"], dom["ymin"],
                                  dom["ymax"]),
                          fractures=fractures)
-    else:
-        src.error("domain.kind", f"unknown domain kind {kind!r}")
 
     params = src.build("", PhysParams, **_section(src, cp, "params"))
     chemistry = _section(src, cp, "chemistry")
@@ -316,6 +321,8 @@ def parse_config(path) -> Scenario:
 
     output = _section(src, cp, "output")
     name = output["name"]
+    if name == "":
+        src.error("output.name", "must not be empty")
     if name is None:
         name = os.path.splitext(os.path.basename(path))[0]
     return make_scenario(name, mesh, bc=bc, grid=grid, params=params,

@@ -10,7 +10,7 @@ All other functions accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,21 +56,14 @@ class PhysParams:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"params.{name} must be finite, got {value}")
-        positive = {
-            "mu": self.mu, "k0": self.k0, "phi0": self.phi0,
-            "kgamma0": self.kgamma0, "kappagamma0": self.kappagamma0,
-            "epsgamma0": self.epsgamma0, "kappaiota0": self.kappaiota0,
-            "epsiota0": self.epsiota0, "rhow_cw": self.rhow_cw,
-            "rhos_cs": self.rhos_cs, "lambdaw": self.lambdaw,
-            "lambdas": self.lambdas, "d": self.d, "dgamma": self.dgamma,
-            "deltagamma": self.deltagamma,
-        }
-        for name, value in positive.items():
-            if not value > 0:
-                raise ValueError(f"params.{name} must be strictly positive, got {value}")
-        for name, value in (("eta_omega", self.eta_omega),
-                            ("eta_gamma", self.eta_gamma),
-                            ("eta_iota", self.eta_iota)):
+        # the deposition coefficients may be zero (no pore change)
+        eta = ("eta_omega", "eta_gamma", "eta_iota")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in eta and not value > 0:
+                raise ValueError(f"params.{f.name} must be strictly positive, got {value}")
+        for name in eta:
+            value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"params.{name} must be non-negative, got {value}")
         if not 0 < self.phi0 <= 1:

@@ -40,7 +40,6 @@ class BalanceWriter:
     """Appends one CSV row per step report."""
 
     def __init__(self, path):
-        self.path = path
         try:
             self._fh = open(path, "w", encoding="utf-8", newline="")
         except OSError as exc:

@@ -76,11 +76,10 @@ class FieldState:
     u: np.ndarray
     w: np.ndarray
     pore: np.ndarray
-    react_prev: np.ndarray | None = None   # last reaction increment of w
-    bnd_flux: np.ndarray | None = None     # last outward Darcy boundary flux
+    react_prev: np.ndarray   # last reaction increment of w, 0 at t = 0
 
     def copy(self) -> "FieldState":
-        return FieldState(**{name: None if value is None else value.copy()
+        return FieldState(**{name: value.copy()
                              for name, value in vars(self).items()})
 
 

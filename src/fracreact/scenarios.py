@@ -65,7 +65,8 @@ def make_state(top: Topology, params: PhysParams, *, p=0.0, theta=1.0,
     return FieldState(p=np.full(lay.ndof, float(p)),
                       theta=np.full(lay.ndof, float(theta)),
                       u=np.full(lay.ndof, float(u)),
-                      w=np.full(lay.ndof, float(w)), pore=pore)
+                      w=np.full(lay.ndof, float(w)), pore=pore,
+                      react_prev=np.zeros(lay.ndof))
 
 
 def dof_centroids(mesh: MixedDimMesh, top: Topology) -> np.ndarray:

@@ -157,9 +157,7 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
     # prediction only sets the intermediate pore volume (the audit is
     # exact for any prediction), so its denominator is floored instead
     # of treated as a hard failure when the predicted change is large.
-    dw_pred = (np.zeros(lay.ndof) if state.react_prev is None
-               else state.react_prev)
-    pore_star = _predict_pore(state.pore, dw_pred, problem.eta)
+    pore_star = _predict_pore(state.pore, state.react_prev, problem.eta)
     clamp_events = cl.clamp_pore_fraction(pore_star, lay.is_bulk)
 
     # (3)-(4) permeabilities at the predicted fractions, then the flow
@@ -224,8 +222,7 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
 
     state_next = FieldState(p=np.asarray(p, dtype=float), theta=theta_new,
                             u=u_new, w=w_new, pore=pore_new,
-                            react_prev=np.asarray(w_star2 - w_half),
-                            bnd_flux=bnd_flux)
+                            react_prev=np.asarray(w_star2 - w_half))
 
     mass_u = total_mass(lay, pore_new, u_new)
     mass_w = total_mass(lay, pore_new, w_new)

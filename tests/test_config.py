@@ -129,6 +129,15 @@ REJECTIONS = [
      "kind = sphere", "domain.kind: unknown domain kind 'sphere'"),
     ("unknown-domain-key", INTERVAL, "num_cells = 10", "num_cells = 10\nnz = 3",
      "nz = 3", "domain.nz: unknown key"),
+    ("interval-with-nx", INTERVAL, "num_cells = 10", "num_cells = 10\nnx = abc",
+     "nx = abc", "domain.nx: not a key of interval domains"),
+    ("interval-with-xmin", INTERVAL, "num_cells = 10",
+     "num_cells = 10\nxmin = 0.5", "xmin = 0.5",
+     "domain.xmin: not a key of interval domains"),
+    ("rectangle-with-length", RECTANGLE, "ny = 4", "ny = 4\nlength = 2.0",
+     "length = 2.0", "domain.length: not a key of rectangle domains"),
+    ("rectangle-with-num-cells", RECTANGLE, "ny = 4", "ny = 4\nnum_cells = 8",
+     "num_cells = 8", "domain.num_cells: not a key of rectangle domains"),
     ("section-without-suffix", INTERVAL, "", "[bc]\nflow = pressure 1.0",
      "[bc]", "bc: unknown section"),
     ("section-with-suffix", INTERVAL, "", "[params.extra]\nd = 1.0",
@@ -166,6 +175,8 @@ REJECTIONS = [
      "format = vtk", "output.format: unknown key"),
     ("bad-output-every", INTERVAL, "", "[output]\nevery = often",
      "every = often", "output.every: expected an integer, got 'often'"),
+    ("empty-output-name", INTERVAL, "", "[output]\nname =", "name =",
+     "output.name: must not be empty"),
     ("time-grid-rejected", INTERVAL, "num_steps = 4", "num_steps = 0", None,
      "time: num_steps must be a finite integer >= 1, got 0"),
 ]
@@ -198,6 +209,13 @@ def test_configparser_rejection_names_the_file(tmp_path, new):
     message = str(info.value)
     assert message.startswith(f"{path}: ")
     assert repr(path) in message       # configparser's own text follows
+
+
+@pytest.mark.parametrize("name", ["run%1", "%(kind)s"])
+def test_values_are_literal(tmp_path, capsys, name):
+    path = _write(tmp_path, _edit(INTERVAL, "", f"[output]\nname = {name}"))
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out.startswith(f"OK: {name}: 10 bulk cells")
 
 
 def test_heun_scheme_parses(tmp_path):

@@ -1,6 +1,8 @@
 """Constitutive laws: parameter validation, permeability laws, the
 implicit pore-fraction update and the clamps."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +47,15 @@ class TestPhysParams:
 
     def test_zero_deposition_coefficient_allowed(self):
         assert PhysParams(eta_omega=0.0).eta_omega == 0.0
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(PhysParams)])
+    def test_zero_rejected_unless_deposition_coefficient(self, name):
+        if name.startswith("eta_"):
+            assert getattr(PhysParams(**{name: 0.0}), name) == 0.0
+        else:
+            with pytest.raises(ValueError, match=rf"^params\.{name} must be "
+                               r"strictly positive, got 0\.0$"):
+                PhysParams(**{name: 0.0})
 
 
 class TestPermeabilities:

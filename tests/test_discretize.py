@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fracreact.discretize import (BULK, COUPLING, FRAC, INTERSECT,
                                   boundary_transmissibilities, build_layout,
                                   build_topology, transmissibilities)
-from fracreact.errors import NumericError
+from fracreact.errors import MeshConformityError, NumericError
 from fracreact.mesh import (TIP_BOUNDARY, TIP_INTERSECTION,
                             build_interval_mesh, build_structured_2d)
 from fracreact.physics import OUTFLOW, Operator, SegmentBC, transport_step
@@ -70,6 +70,15 @@ class TestTopology:
         assert np.all(top.kind == BULK)
         assert len(top.b_dof) == 2
         assert {top.seg_names[c] for c in top.b_seg} == {"left", "right"}
+
+    def test_zero_centroid_to_face_distance_rejected(self, line):
+        mesh, _ = line
+        face = int(np.nonzero(mesh.face_cells[:, 1] == 1)[0][0])
+        centroids = mesh.cell_centroids.copy()
+        centroids[1] = mesh.face_centroids[face]
+        with pytest.raises(MeshConformityError, match=rf"^zero centroid-to-face "
+                           rf"distance at face {face}, cell 1$"):
+            build_topology(dataclasses.replace(mesh, cell_centroids=centroids))
 
     def test_connection_kinds_present(self, network):
         _, top = network

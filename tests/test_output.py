@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fracreact.discretize import build_topology
+from fracreact.errors import FracReactError
 from fracreact.mesh import build_structured_2d
 from fracreact.output import (BALANCE_COLUMNS, BalanceWriter, OutputWriter,
                               read_balance, vtk_pieces, write_vtk_snapshot)
@@ -41,6 +42,10 @@ class TestBalanceCsv:
             assert row["outflux"] == rep.outflux
             assert row["delta_m"] == rep.delta_m
 
+    def test_unopenable_file_raises(self, tmp_path):
+        with pytest.raises(FracReactError, match="cannot open balance file"):
+            BalanceWriter(tmp_path / "missing" / "balance.csv")
+
     def test_header_column_order(self, tmp_path):
         path = tmp_path / "balance.csv"
         writer = BalanceWriter(path)
@@ -72,6 +77,13 @@ class TestVtk:
             data["pore_fraction_w"],
             state.pore[lay.is_bulk] * state.w[lay.is_bulk])
 
+    def test_unwritable_snapshot_raises(self, tmp_path):
+        scenario = get_scenario("test1d_pulse")
+        with pytest.raises(FracReactError, match="cannot write VTK file"):
+            write_vtk_snapshot(tmp_path / "missing", scenario.name, 0,
+                               vtk_pieces(scenario.mesh, scenario.problem.top),
+                               scenario.problem.state0)
+
     def test_interval_snapshot(self, tmp_path):
         scenario = get_scenario("test1d_pulse")
         write_vtk_snapshot(tmp_path, scenario.name, 0,
@@ -99,7 +111,8 @@ class TestVtk:
         top = build_topology(mesh)
         k = np.arange(top.layout.ndof)
         state = FieldState(p=k / 4.0, theta=1.0 + k / 8.0, u=k / 16.0,
-                           w=k / 32.0, pore=0.5 - k / 128.0)
+                           w=k / 32.0, pore=0.5 - k / 128.0,
+                           react_prev=np.zeros(len(k)))
         files = write_vtk_snapshot(tmp_path, "cross", 0,
                                    vtk_pieces(mesh, top), state)
         digests = {_as_path(f).name:

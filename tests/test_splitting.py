@@ -205,6 +205,31 @@ class TestSplittingStudy:
         with pytest.raises(FracReactError):
             monolithic_linear_run(problem)
 
+    def test_monolithic_precipitate_exhausted(self):
+        problem = splitting_problem_factory(1.0)(10)
+        problem.state0.w[:] = 0.1     # dissolves 0.216 over the run
+        with pytest.raises(FracReactError, match="precipitate hit zero"):
+            monolithic_linear_run(problem)
+
+    def test_monolithic_solute_source_matches_split_run(self):
+        # with no reaction the split run and the reference solve the same
+        # transport equation, so they agree only if both add the source
+        base = splitting_problem_factory(1.0)
+        source = np.zeros(base(10).top.layout.ndof)
+        source[20] = 5.0
+
+        def factory(n):
+            problem = base(n)
+            return Problem(**{**problem.__dict__, "solute_source": source,
+                              "reaction": ReactionParams(
+                                  lambda0=0.0, act=0.0, u_e=1.0,
+                                  rate_power=1.0)})
+
+        problem = factory(10)
+        assert np.max(run(problem)[0].u - problem.state0.u) > 1.0
+        for row in splitting_error_study(factory, [10, 20]):
+            assert row["error"] <= 1e-10
+
     def test_no_reaction_no_splitting_error(self):
         base = splitting_problem_factory(1.0)
 
