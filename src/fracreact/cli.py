@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_list() -> int:
+def _cmd_list(_args) -> int:
     for name, description in sorted(list_scenarios().items()):
         print(f"{name:32s} {description}")
     return 0
@@ -139,21 +139,17 @@ def _cmd_study(args) -> int:
     return 0
 
 
+_VERBS = {"run": _cmd_run, "list-scenarios": _cmd_list,
+          "validate": _cmd_validate, "study": _cmd_study}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "list-scenarios":
-            return _cmd_list()
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "study":
-            return _cmd_study(args)
+        return _VERBS[args.command](args)
     except FracReactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

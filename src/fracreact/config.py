@@ -240,9 +240,10 @@ def parse_config(path) -> Scenario:
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
     src = _Source(path)
-    # the format defines no interpolation: a "%" is literal
+    # the format defines no interpolation ("%" is literal) and no default
+    # section: no header can hold "\n", so "[DEFAULT]" is rejected by name
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                   interpolation=None)
+                                   interpolation=None, default_section="\n")
     try:
         cp.read(path, encoding="utf-8")
     except configparser.Error as exc:

@@ -254,7 +254,8 @@ def build_structured_2d(nx: int, ny: int,
         for k in range(1, len(poly)):
             cur = snap(poly[k], f"{pid}[{k - 1}->{k}]")
             seg_desc = f"fracture {pid}, segment {k - 1}->{k} " \
-                       f"({tuple(poly[k - 1])} -> {tuple(poly[k])})"
+                       f"({tuple(poly[k - 1].tolist())} -> " \
+                       f"{tuple(poly[k].tolist())})"
             if cur == prev:
                 raise ConfigurationError(f"{seg_desc}: zero-length segment")
             if cur[0] != prev[0] and cur[1] != prev[1]:

@@ -16,7 +16,8 @@ Each equation solves through one ``Operator``, which resolves its
 boundary closure once and reuses a factor while its matrix repeats.
 
 Boundary values and sources are constants for the whole run: a number
-per segment and equation, and an optional per-dof solute source array.
+per segment and equation, and a solute source that is a number or a
+per-dof array.
 
 Boundary conventions follow the flow problem: segments with an essential
 pressure condition also carry the essential temperature/solute data on
@@ -232,7 +233,7 @@ def darcy_step(op: Operator, pore_star, pore_n, params: PhysParams,
 
 
 def transport_step(op: Operator, t_conn, t_bnd, acc_new, acc_old, x_old,
-                   conn_flux, bnd_flux, adv_scale, dt, source=None):
+                   conn_flux, bnd_flux, adv_scale, dt, source=0.0):
     """One implicit Euler step of
 
         acc_new*x - acc_old*x_old + dt*(div of advective+diffusive flux)
@@ -244,9 +245,8 @@ def transport_step(op: Operator, t_conn, t_bnd, acc_new, acc_old, x_old,
     the outward advective+diffusive fluxes consistent with the solve,
     for mass audits.
     """
-    rhs = np.asarray(acc_old, dtype=float) * np.asarray(x_old, dtype=float)
-    if source is not None:
-        rhs = rhs + dt * np.asarray(source, dtype=float)
+    rhs = (np.asarray(acc_old, dtype=float) * np.asarray(x_old, dtype=float)
+           + dt * np.asarray(source, dtype=float))
     return _tpfa_solve(
         op, t_conn, t_bnd, rhs, dt,
         diag=np.asarray(acc_new, dtype=float),
@@ -295,7 +295,7 @@ def solute_coefficients(top: Topology, pore_star, params: PhysParams):
 
 def solute_ad_step(op: Operator, state: FieldState, conn_flux, bnd_flux,
                    pore_star, pore_n, params: PhysParams, dt: float,
-                   source=None):
+                   source=0.0):
     """Implicit Euler advection-diffusion solve for the solute with the
     reaction term set to zero."""
     top = op.top

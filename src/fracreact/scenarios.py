@@ -99,7 +99,7 @@ def make_scenario(name: str, mesh: MixedDimMesh, *, bc, grid, params, reaction,
                   p=0.0, theta=1.0, u=0.0, w=0.0, fracture_aperture=None,
                   intersection_aperture=None, fracture_w=None,
                   intersection_w=None, regions=None, output_every=10,
-                  solve_heat=True, reaction_scheme="explicit-euler") -> Scenario:
+                  reaction_scheme="explicit-euler") -> Scenario:
     """The scenario of ``mesh``; the initial values are the INI
     ``[initial]`` keys. ``regions`` maps ``"u"`` or ``"w"`` to ``(lo, hi,
     value)``: the value on every dof whose centroid lies in [lo, hi]."""
@@ -119,7 +119,7 @@ def make_scenario(name: str, mesh: MixedDimMesh, *, bc, grid, params, reaction,
             getattr(state, field)[inside] = value
     problem = Problem(top=top, state0=state, grid=grid, params=params,
                       reaction=reaction, bc=bc, eta=make_eta(top, params),
-                      solve_heat=solve_heat, reaction_scheme=reaction_scheme)
+                      reaction_scheme=reaction_scheme)
     return Scenario(name=name, mesh=mesh, problem=problem,
                     output_every=output_every)
 
@@ -162,11 +162,13 @@ def build_test1d_pulse() -> Scenario:
     """
     return make_scenario(
         "test1d_pulse", build_interval_mesh(1.0, 100),
-        bc={"left": SegmentBC(flow=(PRESSURE, 1.0), solute=(DIRICHLET, 0.0)),
-            "right": SegmentBC(flow=(PRESSURE, 0.0), solute=(OUTFLOW, 0.0))},
+        bc={"left": SegmentBC(flow=(PRESSURE, 1.0), heat=(DIRICHLET, 1.0),
+                              solute=(DIRICHLET, 0.0)),
+            "right": SegmentBC(flow=(PRESSURE, 0.0), heat=(OUTFLOW, 0.0),
+                               solute=(OUTFLOW, 0.0))},
         grid=TimeGrid(0.048, 60), params=PhysParams(d=0.02, eta_omega=1.0),
         reaction=ReactionParams(lambda0=1.0, act=0.0, u_e=1.0, rate_power=2.0),
-        regions={"u": ((0.4,), (0.6,), 2.0)}, solve_heat=False)
+        regions={"u": ((0.4,), (0.6,), 2.0)})
 
 
 def splitting_problem_factory(da: float):
@@ -200,7 +202,6 @@ def splitting_problem_factory(da: float):
                        grid=TimeGrid(0.216, num_steps), params=params,
                        reaction=reaction, bc=bc,
                        eta=np.zeros(top_local.layout.ndof),
-                       solve_heat=False,
                        prescribed=prescribed)
 
     return factory
@@ -236,9 +237,7 @@ def _point_source_problem(da: float, *, u_in: float, w0: float,
     problem = Problem(top=top, state0=state, grid=grid, params=params,
                       reaction=reaction, bc=bc,
                       eta=np.zeros(top.layout.ndof),
-                      solve_heat=False,
-                      prescribed=prescribed,
-                      solute_source=source if u_in > 0 else None)
+                      prescribed=prescribed, solute_source=source)
     return mesh, problem
 
 

@@ -77,10 +77,12 @@ class Problem:
     """Everything advance_step needs besides the evolving state.
 
     Every input is fixed for the whole run. ``eta`` is the per-dof
-    pore-change coefficient; ``prescribed``, when set, is a (connection
-    flux, boundary flux) pair that replaces the Darcy solve;
-    ``solute_source``, when set, is a per-dof solute rate (already
-    integrated over the cell).
+    pore-change coefficient. ``prescribed``, when set, is a (connection
+    flux, boundary flux) pair that replaces the Darcy solve; such a
+    problem is isothermal, so ``p`` and ``theta`` pass through unchanged,
+    and heat is solved exactly when flow is. ``solute_source`` is a
+    constant solute rate, a number or a per-dof array (already integrated
+    over the cell), added in every step.
     """
 
     top: Topology
@@ -90,9 +92,8 @@ class Problem:
     reaction: ReactionParams
     bc: dict
     eta: np.ndarray
-    solve_heat: bool = True
     prescribed: tuple | None = None
-    solute_source: np.ndarray | None = None
+    solute_source: float | np.ndarray = 0.0
     reaction_scheme: str = "explicit-euler"
 
     # each equation's Operator, built at its first solve and kept
@@ -134,9 +135,19 @@ def total_mass(layout, pore, conc) -> float:
     return float(np.sum(np.asarray(pore) * np.asarray(conc) * layout.measure))
 
 
-def _annotate(step_no: int, name: str, exc: FracReactError):
-    exc.args = (f"scheme step {step_no} ({name}): {exc.args[0] if exc.args else ''}",)
-    return exc
+class _phase:
+    """Prefixes a FracReactError raised inside it with the scheme step
+    and phase: ``scheme step 4 (flow): ...``."""
+
+    def __init__(self, step_no: int, name: str):
+        self.prefix = f"scheme step {step_no} ({name}): "
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, FracReactError):
+            exc.args = (self.prefix + (exc.args[0] if exc.args else ""),)
 
 
 def advance_step(problem: Problem, state: FieldState, dt: float,
@@ -160,21 +171,14 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
     pore_star = _predict_pore(state.pore, state.react_prev, problem.eta)
     clamp_events = cl.clamp_pore_fraction(pore_star, lay.is_bulk)
 
-    # (3)-(4) permeabilities at the predicted fractions, then the flow
-    # solve; the prediction error (pore* - pore^n)/dt acts as a source
+    # (3)-(5) permeabilities at the predicted fractions, then the flow
+    # solve (the prediction error (pore* - pore^n)/dt acts as a source)
+    # and heat with the fresh fluxes; prescribed fluxes replace both
     if problem.prescribed is None:
-        try:
+        with _phase(4, "flow"):
             p, conn_flux, bnd_flux = darcy_step(
                 problem.flow, pore_star, state.pore, params, dt)
-        except FracReactError as exc:
-            raise _annotate(4, "flow", exc)
-    else:
-        p = state.p
-        conn_flux, bnd_flux = problem.prescribed
-
-    # (5) heat with the fresh fluxes
-    if problem.solve_heat:
-        try:
+        with _phase(5, "heat"):
             theta_new, _ = heat_step(
                 problem.heat, state, conn_flux, bnd_flux, pore_star,
                 state.pore, params, dt)
@@ -182,19 +186,15 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
                 dof = int(np.argmax(theta_new <= 0))
                 raise NumericError(f"non-positive temperature "
                                    f"{theta_new[dof]:.6g} at dof {dof}")
-        except FracReactError as exc:
-            raise _annotate(5, "heat", exc)
     else:
-        theta_new = state.theta
+        p, theta_new = state.p, state.theta
+        conn_flux, bnd_flux = problem.prescribed
 
     # (6) solute advection-diffusion without reaction
-    sol_src = problem.solute_source
-    try:
+    with _phase(6, "solute"):
         u_half, sol_bnd = solute_ad_step(
             problem.solute, state, conn_flux, bnd_flux, pore_star, state.pore,
-            params, dt, source=sol_src)
-    except FracReactError as exc:
-        raise _annotate(6, "solute", exc)
+            params, dt, source=problem.solute_source)
 
     # (7) move the precipitate into the predicted pore volume
     w_half = rescale_for_pore_change(state.w, state.pore, pore_star)
@@ -209,11 +209,9 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
     # using the volume-consistent increment keeps the per-cell invariant
     # pore*w + pore/eta under pure dissolution and hence a finite
     # aperture plateau once the precipitate is exhausted.
-    try:
+    with _phase(9, "pore correction"):
         pore_new = cl.update_pore_fraction(state.pore, w_star2 - w_half,
                                            problem.eta)
-    except FracReactError as exc:
-        raise _annotate(9, "pore correction", exc)
     clamp_events += cl.clamp_pore_fraction(pore_new, lay.is_bulk)
 
     # (10) conservative correction back to the actual pore volume
@@ -227,9 +225,8 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
     mass_u = total_mass(lay, pore_new, u_new)
     mass_w = total_mass(lay, pore_new, w_new)
     outflux = float(np.sum(np.maximum(sol_bnd, 0.0)))
-    influx = float(-np.sum(np.minimum(sol_bnd, 0.0)))
-    if sol_src is not None:
-        influx += float(np.sum(sol_src))
+    influx = (float(-np.sum(np.minimum(sol_bnd, 0.0)))
+              + float(np.sum(problem.solute_source)))
     delta_m = (mass_u + mass_w) - mass_old + dt * (outflux - influx)
 
     report = StepReport(
@@ -305,9 +302,7 @@ def monolithic_linear_run(problem: Problem) -> np.ndarray:
     # source term
     acc = pore * lay.measure
     acc_react = acc + dt * (acc * lam / rp.u_e)
-    source = acc * lam
-    if problem.solute_source is not None:
-        source = problem.solute_source + source
+    source = problem.solute_source + acc * lam
 
     for _ in range(problem.grid.num_steps):
         u = transport_step(

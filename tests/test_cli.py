@@ -12,6 +12,7 @@ from fracreact.config import parse_config
 from fracreact.errors import ConfigurationError
 from fracreact.output import read_balance
 from fracreact.scenarios import get_scenario, list_scenarios
+from fracreact.splitting import run
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
@@ -184,8 +185,15 @@ class TestParseConfig:
         assert parsed.problem.params == builtin.problem.params
         assert parsed.problem.reaction == builtin.problem.reaction
         assert parsed.problem.grid == builtin.problem.grid
+        assert parsed.problem.bc == builtin.problem.bc
         assert np.array_equal(parsed.problem.state0.u,
                               builtin.problem.state0.u)
+        # a full run matches on every field and every report, to the bit
+        state_p, reports_p = run(parsed.problem)
+        state_b, reports_b = run(builtin.problem)
+        for field, value in vars(state_p).items():
+            assert getattr(state_b, field).tobytes() == value.tobytes(), field
+        assert [repr(r) for r in reports_p] == [repr(r) for r in reports_b]
 
     def test_shipped_injection_config_reference_values(self):
         scenario = parse_config(
@@ -313,6 +321,11 @@ class TestCli:
     def test_study_rejects_bad_list(self, capsys):
         assert main(["study", "splitting-error", "--nt-list", "abc"]) == 1
         assert "nt-list" in capsys.readouterr().err
+
+    def test_study_rejects_a_single_count(self, capsys):
+        assert main(["study", "splitting-error", "--nt-list", "5"]) == 1
+        assert capsys.readouterr().err == ("error: --nt-list needs at least "
+                                           "two step counts\n")
 
     @pytest.mark.parametrize("nt_list", ["0,10", "-5,10", "10,10"])
     def test_study_rejects_nonpositive_or_repeated_counts(self, nt_list,

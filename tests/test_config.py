@@ -142,6 +142,8 @@ REJECTIONS = [
      "[bc]", "bc: unknown section"),
     ("section-with-suffix", INTERVAL, "", "[params.extra]\nd = 1.0",
      "[params.extra]", "params.extra: unknown section"),
+    ("default-section", INTERVAL, "[domain]", "[DEFAULT]\nevery = 5\n\n[domain]",
+     "[DEFAULT]", "DEFAULT: unknown section"),
     ("bc-unknown-segment", INTERVAL, "", "[bc.middle]\nflow = pressure 0.5",
      None, "[bc.*] sections for unknown boundary segments ['middle']; mesh "
      "has ['left', 'right']"),
@@ -274,7 +276,15 @@ def test_zero_output_every_accepted(tmp_path):
      "tolerance 1.41421e-09"),
     (RECTANGLE, "", "[fracture.1]\npoints = 0.5 0.5 ; 0.5 1.0",
      "fractures 0 and 1 overlap on a grid edge"),
-], ids=["no-cells", "no-columns", "degenerate", "off-grid", "overlap"])
+    (RECTANGLE, "points = 0.5 0.25 ; 0.5 0.75",
+     "points = 0.5 0.25 ; 0.5 0.25 ; 0.5 0.75",
+     "fracture 0, segment 0->1 ((0.5, 0.25) -> (0.5, 0.25)): zero-length "
+     "segment"),
+    (RECTANGLE, "points = 0.5 0.25 ; 0.5 0.75", "points = 0.0 0.25 ; 0.0 0.75",
+     "fracture lies on the domain boundary; fracture cells must coincide "
+     "with interior faces"),
+], ids=["no-cells", "no-columns", "degenerate", "off-grid", "overlap",
+        "zero-length-segment", "on-boundary"])
 def test_mesh_error_names_the_file(tmp_path, capsys, base, old, new, message):
     path = _write(tmp_path, _edit(base, old, new))
     with pytest.raises(ConfigurationError) as info:

@@ -121,6 +121,12 @@ class TestFractureEmbedding:
         with pytest.raises(ConfigurationError):
             build_structured_2d(4, 4, fractures=[[(0.0, 0.0), (1.0, 1.0)]])
 
+    def test_polyline_of_3d_points_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="fracture 0 must be a polyline of 2D points"):
+            build_structured_2d(4, 4, fractures=[[(0.5, 0.25, 0.0),
+                                                  (0.5, 0.75, 0.0)]])
+
     def test_off_grid_endpoint_rejected(self):
         with pytest.raises(ConfigurationError):
             build_structured_2d(4, 4, fractures=[[(0.26, 0.5), (0.75, 0.5)]])

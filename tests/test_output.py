@@ -46,6 +46,14 @@ class TestBalanceCsv:
         with pytest.raises(FracReactError, match="cannot open balance file"):
             BalanceWriter(tmp_path / "missing" / "balance.csv")
 
+    def test_read_rejects_other_columns(self, tmp_path):
+        path = tmp_path / "balance.csv"
+        path.write_text("step,time,mass\n0,0,1\n")
+        with pytest.raises(FracReactError) as info:
+            read_balance(path)
+        assert str(info.value) == (f"{path}: unexpected balance columns "
+                                   "['step', 'time', 'mass']")
+
     def test_header_column_order(self, tmp_path):
         path = tmp_path / "balance.csv"
         writer = BalanceWriter(path)

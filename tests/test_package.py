@@ -68,9 +68,10 @@ def _read_hook(cls, read):
 
 @pytest.fixture(scope="module")
 def cli_runs(tmp_path_factory):
-    """Every CLI verb on every built-in and shipped config, and one
-    rejected ``validate``, run once with the code objects they call and
-    the state attributes they read recorded."""
+    """Every CLI verb on every built-in and shipped config, one ``run``
+    that fails in a scheme phase and one rejected ``validate``, run once
+    with the code objects they call and the state attributes they read
+    recorded."""
     tmp = tmp_path_factory.mktemp("cli")
     configs = [os.path.join(CONFIGS, name) for name in sorted(os.listdir(CONFIGS))]
     rejected = tmp / "rejected.ini"
@@ -81,6 +82,8 @@ def cli_runs(tmp_path_factory):
     argvs = [["run", target] + out for target in sorted(list_scenarios()) + configs]
     argvs += [["validate", cfg] for cfg in configs]
     argvs += [["list-scenarios"], ["study", "splitting-error", "--nt-list", "2,4"],
+              # dt = 1 dissolves more than 1/eta of precipitate in one step
+              ["run", "multi_fracture_opening", "--nt", "5", "--out", str(tmp)],
               ["validate", str(rejected)]]
 
     called, read = set(), set()
@@ -118,8 +121,10 @@ def test_all_names_resolve_once():
 
 def test_cli_verbs_succeed(cli_runs):
     codes, err, _, _ = cli_runs
-    assert codes == [0] * (len(codes) - 1) + [1], err
-    assert "size: unknown key" in err.splitlines()[-1]
+    assert codes == [0] * (len(codes) - 2) + [1, 1], err
+    failed_run, rejected = err.splitlines()[-2:]
+    assert failed_run.startswith("error: scheme step 9 (pore correction): ")
+    assert "size: unknown key" in rejected
 
 
 def test_every_public_function_runs_in_the_cli(cli_runs):

@@ -2,6 +2,8 @@
 single-step update, mass audit, determinism and the splitting-error
 machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from fracreact.errors import FracReactError
 from fracreact.mesh import build_interval_mesh
 from fracreact.physics import (DIRICHLET, OUTFLOW, PRESSURE, Operator,
                                SegmentBC, darcy_step, solute_ad_step)
-from fracreact.scenarios import (get_scenario, make_eta, make_state,
-                                 splitting_problem_factory)
+from fracreact.scenarios import (get_scenario, list_scenarios, make_eta,
+                                 make_state, splitting_problem_factory)
 from fracreact.splitting import (Problem, StepReport, TimeGrid, advance_step,
                                  convergence_order, monolithic_linear_run,
                                  rescale_for_pore_change, run,
@@ -101,7 +103,7 @@ def _simple_problem(lambda0=1.0, u0=None, w0=0.5, u_bc=0.0, num_steps=10):
     }
     return Problem(top=top, state0=state, grid=TimeGrid(0.05, num_steps),
                    params=params, reaction=reaction, bc=bc,
-                   eta=make_eta(top, params), solve_heat=False)
+                   eta=make_eta(top, params))
 
 
 class TestAdvanceStep:
@@ -158,6 +160,17 @@ class TestAdvanceStep:
         with pytest.raises(FracReactError, match="scheme step"):
             advance_step(problem, problem.state0.copy(),
                          problem.grid.dt, problem.grid.dt)
+
+    def test_non_finite_solute_source_names_its_phase(self):
+        problem = splitting_problem_factory(1.0)(10)
+        source = np.zeros(problem.top.layout.ndof)
+        source[20] = np.nan
+        problem = replace(problem, solute_source=source)
+        with pytest.raises(FracReactError) as info:
+            advance_step(problem, problem.state0.copy(),
+                         problem.grid.dt, problem.grid.dt)
+        assert str(info.value) == ("scheme step 6 (solute): non-finite "
+                                   "entries in linear system")
 
 
 class TestRun:
@@ -266,3 +279,15 @@ def test_pulse_scenario_monotone_outflow_decline_then_washout():
     lost = sum(r.outflux - r.influx for r in reports) * scenario.problem.grid.dt
     assert mT - m0 + lost == pytest.approx(0.0, abs=1e-12 * m0)
     assert np.all(state.w >= 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(list_scenarios()))
+def test_balance_fluxes_are_never_negative_zero(name):
+    # a step without inflow reports +0.0, which the balance CSV prints as
+    # "0", never "-0"
+    scenario = get_scenario(name)
+    dt = scenario.problem.grid.dt
+    _, reports = run(scenario.with_grid(TimeGrid(2 * dt, 2)).problem)
+    for report in reports:
+        assert not np.signbit(report.influx), report
+        assert not np.signbit(report.outflux), report
