@@ -89,13 +89,11 @@ def cubic_law(eps, ref_k: float, ref_eps: float):
     Serves the fracture tangential and normal permeabilities as well as
     the intersection permeability; the corresponding flux scales
     cubically with the aperture once the extra eps factor of the
-    reduced equations is included.
+    reduced equations is included. ``PhysParams`` keeps ``ref_eps`` > 0.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any(eps < 0):
         raise ValueError("aperture must be non-negative")
-    if not ref_eps > 0:
-        raise ValueError("reference aperture must be positive")
     return ref_k * eps**2 / ref_eps**2
 
 
@@ -107,8 +105,8 @@ def update_pore_fraction(prev, dw, eta):
     """
     prev = np.asarray(prev, dtype=float)
     denom = 1.0 + np.asarray(eta, dtype=float) * np.asarray(dw, dtype=float)
-    if np.any(denom <= 0):
-        dof = int(np.argmax(denom <= 0))
+    if not np.all(denom > 0):
+        dof = int(np.argmin(denom > 0))
         raise SingularUpdateError(
             f"pore-fraction update has 1 + eta*dw = {denom.flat[dof]:.6g} <= 0 at "
             f"dof {dof}; the porosity or aperture would be non-positive or infinite")
@@ -139,7 +137,8 @@ def clamp_pore_fraction(values, is_bulk):
     values = np.asarray(values)
     bulk = np.asarray(is_bulk, dtype=bool)
     low = np.where(bulk, PHI_MIN, EPS_MIN)
-    clamped = (values < low) | (bulk & (values > 1.0))
+    high = bulk & (values > 1.0)
+    clamped = (values < low) | high
     np.clip(values, low, None, out=values)
-    values[bulk & (values > 1.0)] = 1.0
+    values[high] = 1.0
     return int(np.count_nonzero(clamped))

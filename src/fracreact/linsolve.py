@@ -11,8 +11,8 @@ cost. A solve then scatters its listed entries into the pattern by slot
 (``factor``), always with SuperLU's smallest supernode settings
 (``relax=1, panel_size=1``): they regroup the factorisation's work and
 leave its fill unchanged. Both are deterministic across reruns on the
-same platform, which the output regression tests rely on; a factor kept
-for one matrix thus serves any later bit-identical one (``lu``).
+same platform, which the output regression tests rely on; a caller that
+keeps a matrix and its factor solves a new rhs with them (``lu``).
 
 Every solve meets one rule, with no fallback: the normwise residual
 ``||Ax - b|| / ||b||`` is at most ``DEFAULT_TOL``, or ``solve`` raises
@@ -44,6 +44,12 @@ class SolvePlan:
     diag: np.ndarray      # slot of each dof's diagonal entry
     ij: np.ndarray        # slot of (ci, cj) per connection
     ji: np.ndarray        # slot of (cj, ci) per connection
+
+    def permute(self, rhs) -> np.ndarray:
+        """``rhs`` in the permuted dof order of the plan's systems."""
+        b = np.empty(len(self.perm))
+        b[self.perm] = rhs
+        return b
 
 
 @dataclass(frozen=True)
@@ -89,19 +95,14 @@ def build_plan(n: int, ci, cj) -> SolvePlan:
                      diag=slots[:n], ij=slots[n:n + m], ji=slots[n + m:])
 
 
-def assemble_arrays(plan: SolvePlan, slots, vals, rhs,
-                    last: sps.csc_matrix | None = None) -> SparseSystem:
+def assemble_arrays(plan: SolvePlan, slots, vals, rhs) -> SparseSystem:
     """The permuted system with ``vals`` summed into the pattern at
-    ``slots`` in listed order, and ``rhs`` permuted to match. When the
-    sums equal ``last.data`` (``last`` a matrix on this plan), the system
-    reuses ``last``; no sum is -0.0, so equal sums are equal to the bit."""
+    ``slots`` in listed order, and ``rhs`` permuted to match."""
     n = len(plan.perm)
     data = np.bincount(slots, weights=vals, minlength=len(plan.indices))
-    b = np.empty(n)
-    b[plan.perm] = rhs
-    if last is None or not np.array_equal(data, last.data):
-        last = sps.csc_matrix((data, plan.indices, plan.indptr), shape=(n, n))
-    return SparseSystem(matrix=last, rhs=b)
+    return SparseSystem(
+        matrix=sps.csc_matrix((data, plan.indices, plan.indptr), shape=(n, n)),
+        rhs=plan.permute(rhs))
 
 
 def factor(matrix: sps.csc_matrix):

@@ -13,7 +13,7 @@ with scale dt. It returns the outward boundary fluxes consistent with
 the solve, which the mass audit uses.
 
 Each equation solves through one ``Operator``, which resolves its
-boundary closure once and reuses a factor while its matrix repeats.
+boundary closure once and reuses work while its inputs repeat bit for bit.
 
 Boundary values and sources are constants for the whole run: a number
 per segment and equation, and a solute source that is a number or a
@@ -35,7 +35,7 @@ from .constitutive import PhysParams
 from .discretize import (COUPLING, INTERSECT, Topology,
                          boundary_transmissibilities, transmissibilities)
 from .errors import WellPosednessError
-from .linsolve import assemble_arrays, factor, solve
+from .linsolve import SparseSystem, assemble_arrays, factor, solve
 
 DIRICHLET = "dirichlet"
 OUTFLOW = "outflow"
@@ -87,7 +87,16 @@ class FieldState:
 class Operator:
     """One equation's boundary closure on a topology, resolved once per
     run: per-face kind masks, values and (essential, advective) slot
-    pairs. It keeps its last matrix and, once that repeats, its factor."""
+    pairs. It keeps references to the last inputs of its work, and
+    reuses the work while they repeat (``np.array_equal``: a NaN never
+    repeats). ``transmissibilities_at`` keys on ``pore_star``;
+    ``_tpfa_solve`` keys on the arrays that set its matrix and boundary
+    terms, and on their first repeat keeps the factor (``lu``) and, in
+    ``kept``, the matrix, boundary rhs terms and ``leaving`` mask. A solve
+    that does not repeat keeps no matrix and no factor. Nothing is
+    copied: callers make these arrays fresh and never write them
+    afterwards, and one run uses the same parameters throughout.
+    """
 
     def __init__(self, top: Topology, bc: BoundarySpec, equation: str):
         accepted = FLOW_KINDS if equation == "flow" else TRANSPORT_KINDS
@@ -112,7 +121,18 @@ class Operator:
         self.top = top
         self.bd2 = np.array([top.b_dof, top.b_dof]).T
         self.b_slots = top.plan.diag[self.bd2]
-        self.matrix = self.lu = None
+        self.pore = self.trans = self.inputs = self.lu = self.kept = None
+
+    def transmissibilities_at(self, coefficients, pore_star, params):
+        """Connection and boundary transmissibilities of the (coef,
+        resist) pair ``coefficients(top, pore_star, params)``, evaluated
+        again only when ``pore_star`` differs from the last one used."""
+        if not np.array_equal(pore_star, self.pore):
+            coef, resist = coefficients(self.top, pore_star, params)
+            self.pore = pore_star
+            self.trans = (transmissibilities(self.top, coef, resist),
+                          boundary_transmissibilities(self.top, coef))
+        return self.trans
 
 
 def _tpfa_solve(op: Operator, t_conn, t_bnd, rhs, scale, diag, flux,
@@ -135,31 +155,40 @@ def _tpfa_solve(op: Operator, t_conn, t_bnd, rhs, scale, diag, flux,
     listed order, which keeps the result reproducible to the bit.
     """
     top, plan, g, ess = op.top, op.top.plan, op.values, op.ess
-    leaving, upwind = bnd_flux >= 0, ess | op.out
-    adv_out, adv_in = upwind & leaving, upwind & ~leaving
-    st = scale * t_conn
-    fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
-    conn = [plan.diag[top.ci], plan.ij, plan.diag[top.cj], plan.ji]
-    slots = [plan.diag] + conn + conn
-    vals = [diag, st, -st, st, -st,
-            scale * fp, scale * fm, -scale * fm, -scale * fp]
+    inputs = (scale, t_bnd, bnd_flux, diag, t_conn, flux)  # cheapest first
+    repeat = op.inputs is not None and all(map(np.array_equal, inputs,
+                                               op.inputs))
+    if not repeat:
+        op.inputs, op.lu, op.kept = inputs, None, None
+    if op.lu is None:
+        leaving, upwind = bnd_flux >= 0, ess | op.out
+        adv_out, adv_in = upwind & leaving, upwind & ~leaving
+        st = scale * t_conn
+        fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
+        conn = [plan.diag[top.ci], plan.ij, plan.diag[top.cj], plan.ji]
+        slots = [plan.diag] + conn + conn
+        vals = [diag, st, -st, st, -st,
+                scale * fp, scale * fm, -scale * fm, -scale * fp]
 
-    # boolean masks select from the transposed face pairs face by face
-    sel = np.array([ess, adv_out]).T
-    st_b, sfb = scale * t_bnd, scale * bnd_flux
-    slots.append(op.b_slots[sel])
-    vals.append(np.array([st_b, sfb]).T[sel])
-    sel = np.array([op.datum, adv_in]).T
-    term = np.array([np.where(ess, st_b * g, (-scale * g) * top.b_area),
-                     -sfb * g]).T
-    np.add.at(rhs, op.bd2[sel], term[sel])
-
-    system = assemble_arrays(plan, np.concatenate(slots), np.concatenate(vals),
-                             rhs, op.matrix)
-    if system.matrix is not op.matrix:
-        op.matrix, op.lu = system.matrix, None
-    elif op.lu is None:
-        op.lu = factor(system.matrix)
+        # boolean masks select from the transposed face pairs face by face
+        sel = np.array([ess, adv_out]).T
+        st_b, sfb = scale * t_bnd, scale * bnd_flux
+        slots.append(op.b_slots[sel])
+        vals.append(np.array([st_b, sfb]).T[sel])
+        sel = np.array([op.datum, adv_in]).T
+        term = np.array([np.where(ess, st_b * g, (-scale * g) * top.b_area),
+                         -sfb * g]).T
+        b_terms = op.bd2[sel], term[sel]
+        np.add.at(rhs, *b_terms)
+        system = assemble_arrays(plan, np.concatenate(slots),
+                                 np.concatenate(vals), rhs)
+        if repeat:
+            op.lu = factor(system.matrix)
+            op.kept = system.matrix, b_terms, leaving
+    else:
+        matrix, b_terms, leaving = op.kept
+        np.add.at(rhs, *b_terms)
+        system = SparseSystem(matrix=matrix, rhs=plan.permute(rhs))
     x = solve(system, lu=op.lu)[plan.perm]
 
     xb = x[top.b_dof]
@@ -217,13 +246,12 @@ def darcy_step(op: Operator, pore_star, pore_n, params: PhysParams,
     """
     top = op.top
     lay = top.layout
-    coef, resist = flow_coefficients(top, pore_star, params)
-    t_conn = transmissibilities(top, coef, resist)
+    t_conn, t_bnd = op.transmissibilities_at(flow_coefficients, pore_star,
+                                             params)
 
     # no accumulation and no advection: zero diagonal and fluxes
     rhs = -(np.asarray(pore_star) - np.asarray(pore_n)) * lay.measure / dt
-    p, bnd_flux = _tpfa_solve(op, t_conn, boundary_transmissibilities(top, coef),
-                              rhs, 1.0, np.zeros(lay.ndof),
+    p, bnd_flux = _tpfa_solve(op, t_conn, t_bnd, rhs, 1.0, np.zeros(lay.ndof),
                               np.zeros(top.n_conn), np.zeros(len(top.b_dof)))
     return p, t_conn * (p[top.ci] - p[top.cj]), bnd_flux
 
@@ -258,18 +286,23 @@ def transport_step(op: Operator, t_conn, t_bnd, acc_new, acc_old, x_old,
 # heat and solute wrappers
 
 
+def heat_coefficients(top: Topology, pore_star, params: PhysParams):
+    """Per-dof conductivity and per-connection interface resistance for
+    the heat solve, evaluated at the given pore fractions."""
+    lay = top.layout
+    coef = np.ones(lay.ndof)
+    coef[lay.is_bulk] = cl.effective_conductivity(pore_star[lay.is_bulk],
+                                                  params)
+    coef[lay.is_frac] = pore_star[lay.is_frac] * params.lambdaw
+    return coef, _transport_resistances(top, pore_star, params.lambdaw)
+
+
 def heat_step(op: Operator, state: FieldState, conn_flux, bnd_flux,
               pore_star, pore_n, params: PhysParams, dt: float):
     """Implicit Euler heat solve with effective properties evaluated at
     the extrapolated pore fractions."""
-    top = op.top
-    lay = top.layout
+    lay = op.top.layout
     bulk, low = lay.is_bulk, ~lay.is_bulk
-    coef = np.ones(lay.ndof)
-    coef[bulk] = cl.effective_conductivity(pore_star[bulk], params)
-    coef[lay.is_frac] = pore_star[lay.is_frac] * params.lambdaw
-
-    resist = _transport_resistances(top, pore_star, params.lambdaw)
 
     def capacity(pore):
         acc = np.empty(lay.ndof)
@@ -278,9 +311,9 @@ def heat_step(op: Operator, state: FieldState, conn_flux, bnd_flux,
         return acc
 
     return transport_step(
-        op, transmissibilities(top, coef, resist),
-        boundary_transmissibilities(top, coef), capacity(pore_star),
-        capacity(pore_n), state.theta, conn_flux, bnd_flux, params.rhow_cw, dt)
+        op, *op.transmissibilities_at(heat_coefficients, pore_star, params),
+        capacity(pore_star), capacity(pore_n), state.theta, conn_flux,
+        bnd_flux, params.rhow_cw, dt)
 
 
 def solute_coefficients(top: Topology, pore_star, params: PhysParams):
@@ -298,14 +331,11 @@ def solute_ad_step(op: Operator, state: FieldState, conn_flux, bnd_flux,
                    source=0.0):
     """Implicit Euler advection-diffusion solve for the solute with the
     reaction term set to zero."""
-    top = op.top
-    coef, resist = solute_coefficients(top, pore_star, params)
-    acc_new = pore_star * top.layout.measure
-    acc_old = pore_n * top.layout.measure
+    measure = op.top.layout.measure
     return transport_step(
-        op, transmissibilities(top, coef, resist),
-        boundary_transmissibilities(top, coef), acc_new, acc_old, state.u,
-        conn_flux, bnd_flux, 1.0, dt, source=source)
+        op, *op.transmissibilities_at(solute_coefficients, pore_star, params),
+        pore_star * measure, pore_n * measure, state.u, conn_flux, bnd_flux,
+        1.0, dt, source=source)
 
 
 def _transport_resistances(top: Topology, pore_star, normal_coef):

@@ -11,6 +11,7 @@ step report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -20,8 +21,7 @@ import numpy as np
 from . import constitutive as cl
 from .chemistry import ReactionParams, lambda_minus, react_cell
 from .constitutive import PhysParams
-from .discretize import (Topology, boundary_transmissibilities,
-                         transmissibilities)
+from .discretize import Topology
 from .errors import FracReactError, NumericError
 from .physics import (FieldState, Operator, darcy_step, heat_step,
                       solute_ad_step, solute_coefficients, transport_step)
@@ -68,7 +68,7 @@ class StepReport:
     def __post_init__(self):
         vals = (self.time, self.mass_u, self.mass_w, self.influx,
                 self.outflux, self.delta_m)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise FracReactError(f"non-finite step report: {self}")
 
 
@@ -117,11 +117,12 @@ def rescale_for_pore_change(value, old_fraction, new_fraction):
     """value*old/new: preserves fraction x concentration x measure.
 
     Entries whose fraction did not change keep their value bit-for-bit
-    (value*a/a may round by one ulp otherwise).
+    (value*a/a may round by one ulp otherwise). Fields stacked on the
+    first axis of ``value`` share one check and one mask.
     """
     old_fraction = np.asarray(old_fraction, dtype=float)
     new_fraction = np.asarray(new_fraction, dtype=float)
-    if np.any(old_fraction <= 0) or np.any(new_fraction <= 0):
+    if not (np.all(old_fraction > 0) and np.all(new_fraction > 0)):
         raise FracReactError("pore fractions must be positive for rescaling")
     value = np.asarray(value, dtype=float)
     out = np.where(old_fraction == new_fraction, value,
@@ -215,8 +216,8 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
     clamp_events += cl.clamp_pore_fraction(pore_new, lay.is_bulk)
 
     # (10) conservative correction back to the actual pore volume
-    u_new = rescale_for_pore_change(u_star, pore_star, pore_new)
-    w_new = rescale_for_pore_change(w_star2, pore_star, pore_new)
+    u_new, w_new = rescale_for_pore_change((u_star, w_star2), pore_star,
+                                           pore_new)
 
     state_next = FieldState(p=np.asarray(p, dtype=float), theta=theta_new,
                             u=u_new, w=w_new, pore=pore_new,
@@ -284,7 +285,7 @@ def monolithic_linear_run(problem: Problem) -> np.ndarray:
         raise FracReactError("monolithic reference requires the linear rate law")
     if problem.prescribed is None:
         raise FracReactError("monolithic reference requires prescribed fluxes")
-    top, lay = problem.top, problem.top.layout
+    lay = problem.top.layout
     params, rp = problem.params, problem.reaction
     dt = problem.grid.dt
     conn_flux, bnd_flux = problem.prescribed
@@ -295,9 +296,8 @@ def monolithic_linear_run(problem: Problem) -> np.ndarray:
     lam = np.broadcast_to(
         np.asarray(lambda_minus(problem.state0.theta, rp)), u.shape)
 
-    coef, resist = solute_coefficients(top, pore, params)
-    t_conn = transmissibilities(top, coef, resist)
-    t_bnd = boundary_transmissibilities(top, coef)
+    t_conn, t_bnd = problem.solute.transmissibilities_at(
+        solute_coefficients, pore, params)
     # the linear rate lam*(u/u_e - 1) splits into an accumulation and a
     # source term
     acc = pore * lay.measure

@@ -82,6 +82,14 @@ class TestPermeabilities:
         with pytest.raises(ValueError):
             cubic_law(-1e-3, 1e2, 1e-2)
 
+    @pytest.mark.parametrize("name", ["epsgamma0", "epsiota0"])
+    @pytest.mark.parametrize("bad", [0.0, -1e-2])
+    def test_cubic_law_reference_aperture_guarded_by_params(self, name, bad):
+        # every cubic_law caller passes one of these as its reference
+        # aperture, so cubic_law itself does not check it
+        with pytest.raises(ValueError, match=rf"^params\.{name} must be"):
+            PhysParams(**{name: bad})
+
     @given(st.floats(0.0, 1.0), st.floats(1e-3, 1e3), st.floats(1e-6, 1.0))
     def test_cubic_law_nonnegative(self, eps, ref_k, ref_eps):
         assert cubic_law(eps, ref_k, ref_eps) >= 0.0
@@ -110,6 +118,11 @@ class TestPoreUpdate:
                            match=r"1 \+ eta\*dw = -0\.5 <= 0 at dof 2;"):
             update_pore_fraction(np.full(4, 0.2),
                                  np.array([0.0, -0.1, -3.0, -4.0]), 0.5)
+
+    def test_nan_denominator_rejected(self):
+        with pytest.raises(SingularUpdateError,
+                           match=r"1 \+ eta\*dw = nan <= 0 at dof 0;"):
+            update_pore_fraction([0.5], [np.nan], [1.0])
 
     def test_array_input(self):
         out = update_pore_fraction(np.array([0.2, 0.3]), np.array([0.0, 0.1]),

@@ -16,7 +16,8 @@ from fracreact.mesh import build_interval_mesh
 from fracreact.physics import Operator, SegmentBC, transport_step
 from fracreact.scenarios import (get_scenario, list_scenarios,
                                  splitting_problem_factory)
-from fracreact.splitting import TimeGrid, run, splitting_error_study
+from fracreact.splitting import (TimeGrid, monolithic_linear_run, run,
+                                 splitting_error_study)
 from oracles import mmd_ordering
 
 
@@ -329,7 +330,8 @@ class TestFactorReuse:
             assert np.array_equal(x, self._step(fresh, case, u_old))
         assert counting.factorizations == 3
 
-    def test_one_ulp_change_refactors_and_drops(self, case, counting):
+    def test_one_ulp_change_refactors_and_drops(self, case, counting,
+                                                monkeypatch):
         # without transport the matrix is the accumulation diagonal, so
         # one ulp more accumulation in one cell moves one entry one ulp
         top, bc = case[0].top, case[0].bc
@@ -337,6 +339,9 @@ class TestFactorReuse:
         op = Operator(top, bc, "solute")
         acc = np.linspace(1.0, 2.0, n)
         zero_c, zero_b = np.zeros(top.n_conn), np.zeros(len(top.b_dof))
+        assembled = []
+        monkeypatch.setattr(physics, "assemble_arrays", lambda *args: (
+            assembled.append(assemble_arrays(*args)) or assembled[-1]))
 
         def step(acc_new):
             transport_step(op, zero_c, zero_b, acc_new, acc, np.ones(n),
@@ -345,15 +350,17 @@ class TestFactorReuse:
         for _ in range(3):
             step(acc)
         assert counting.factorizations == 2 and op.lu is not None
-        before = op.matrix.data.copy()
+        assert len(assembled) == 2
+        before = op.kept[0].data.copy()
         nudged = acc.copy()
         nudged[7] = np.nextafter(acc[7], np.inf)
         step(nudged)
-        changed = np.flatnonzero(op.matrix.data != before)
+        after = assembled[-1].matrix.data
+        changed = np.flatnonzero(after != before)
         assert len(changed) == 1
-        assert op.matrix.data[changed[0]] == np.nextafter(before[changed[0]],
-                                                          np.inf)
-        assert counting.factorizations == 3 and op.lu is None
+        assert after[changed[0]] == np.nextafter(before[changed[0]], np.inf)
+        assert counting.factorizations == 3
+        assert op.lu is None and op.kept is None
 
     def test_reused_factor_rejects_non_finite_rhs(self, case, counting):
         problem, state = case[:2]
@@ -375,7 +382,8 @@ class TestFactorReuse:
         run(problem)
         assert counting.factorizations == 3 * k
         for op in (problem.flow, problem.heat, problem.solute):
-            assert op.matrix is not None and op.lu is None
+            assert op.inputs is not None
+            assert op.lu is None and op.kept is None
 
     def test_study_factors_twice_per_run(self, counting):
         # frozen pores and a prescribed velocity repeat every matrix:
@@ -398,10 +406,13 @@ class TestFactorReuse:
         reused = fields(scenario.problem)
         factorizations = counting.factorizations
         # the same run with every system taken as new
-        monkeypatch.setattr(
-            physics, "assemble_arrays",
-            lambda plan, slots, vals, rhs, last=None:
-                assemble_arrays(plan, slots, vals, rhs))
+        tpfa_solve = physics._tpfa_solve
+
+        def as_new(op, *args, **kwargs):
+            op.inputs = op.lu = op.kept = None
+            return tpfa_solve(op, *args, **kwargs)
+
+        monkeypatch.setattr(physics, "_tpfa_solve", as_new)
         counting.factorizations = 0
         fresh = fields(scenario.with_grid(scenario.problem.grid).problem)
         assert counting.factorizations == 3 * steps
@@ -409,3 +420,82 @@ class TestFactorReuse:
         assert reused[1] == fresh[1]
         for got, want in zip(reused[0], fresh[0]):
             assert np.array_equal(got, want)
+
+    def test_study_work_does_not_grow_with_steps(self, monkeypatch):
+        # frozen pores and a prescribed velocity repeat every input:
+        # coefficients and assembly run only for the first solves of
+        # each run, whatever its number of steps
+        calls = {"assemble_arrays": 0, "transmissibilities": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(physics, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(physics, name, counted)
+        factory = splitting_problem_factory(1.0)
+        counts = []
+        for n in (10, 20):
+            splitting_error_study(factory, [n])
+            counts.append(dict(calls))
+            calls.update(dict.fromkeys(calls, 0))
+        assert counts[0] == counts[1]
+        assert counts[0]["assemble_arrays"] == 4
+
+    def test_alternating_inputs_match_fresh_operators(self, case):
+        problem, state, conn, bnd = case
+        top = problem.top
+        op = Operator(top, problem.bc, "solute")
+        rng = np.random.default_rng(5)
+        u_old = rng.uniform(0.0, 1.0, top.layout.ndof)
+        pores = {"A": state.pore, "B": state.pore * 1.1}
+
+        def step(op, key):
+            old = state.copy()
+            old.u[:] = u_old
+            return physics.solute_ad_step(op, old, conn, bnd, pores[key],
+                                          state.pore, problem.params,
+                                          problem.grid.dt)
+
+        for key in "ABABAABBA":
+            got = step(op, key)
+            want = step(Operator(top, problem.bc, "solute"), key)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_reference_after_split_run_matches_fresh_operator(self):
+        factory = splitting_problem_factory(10.0)
+        shared = factory(20)
+        run(shared)
+        got = monolithic_linear_run(shared)
+        assert np.array_equal(got, monolithic_linear_run(factory(20)))
+
+    @pytest.mark.parametrize("name", ["dt", "t_bnd", "bnd_flux", "acc_new",
+                                      "t_conn", "conn_flux"])
+    def test_nan_input_never_reuses(self, counting, name):
+        top = build_topology(build_interval_mesh(1.0, 8))
+        bc = {"left": SegmentBC(solute=(physics.DIRICHLET, 1.0)),
+              "right": SegmentBC(solute=(physics.OUTFLOW, 0.0))}
+        op = Operator(top, bc, "solute")
+        n, nb = top.layout.ndof, len(top.b_dof)
+        args = {"t_conn": np.full(top.n_conn, 2.0), "t_bnd": np.full(nb, 4.0),
+                "acc_new": np.full(n, 0.1), "conn_flux": np.ones(top.n_conn),
+                "bnd_flux": np.array([-1.0, 1.0]), "dt": 0.1}
+
+        def step(**change):
+            a = {**args, **change}
+            return transport_step(op, a["t_conn"], a["t_bnd"], a["acc_new"],
+                                  np.full(n, 0.1), np.zeros(n), a["conn_flux"],
+                                  a["bnd_flux"], 1.0, a["dt"])
+
+        for _ in range(3):
+            want = step()
+        assert counting.factorizations == 2 and op.lu is not None
+        bad = np.array(args[name], dtype=float)
+        bad.flat[0] = np.nan
+        for _ in range(2):
+            with pytest.raises(NumericError, match="non-finite"):
+                step(**{name: bad})
+            assert op.lu is None and op.kept is None
+        assert counting.factorizations == 2
+        got = step()
+        assert op.lu is None and counting.factorizations == 3
+        assert np.array_equal(got[0], want[0])

@@ -12,6 +12,7 @@ from fracreact.discretize import COUPLING, INTERSECT, build_topology
 from fracreact.errors import ConfigurationError
 from fracreact.mesh import (TIP_INTERSECTION, Intersection,
                             build_interval_mesh, build_structured_2d)
+from fracreact.scenarios import staircase_polyline
 from oracles import validate_conformity
 from test_discretize import assert_topology_matches_reference, boundary_tags
 
@@ -243,3 +244,9 @@ class TestRandomNetworks:
         inter = {tuple(i.point) for i in mesh.intersections}
         assert all(tuple(mesh.points[v]) in inter
                    for v, n in edges_at.items() if n >= 3)
+
+
+@pytest.mark.parametrize("end", [(0.25, 0.75), (0.75, 0.25), (0.25, 0.25)])
+def test_staircase_rejects_end_not_up_right(end):
+    with pytest.raises(ValueError, match="staircase expects end up-right"):
+        staircase_polyline((0.5, 0.5), end, 0.125)

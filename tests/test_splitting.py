@@ -84,6 +84,22 @@ class TestAlgebra:
         with pytest.raises(FracReactError):
             rescale_for_pore_change(0.3, 0.0, 0.2)
 
+    @pytest.mark.parametrize("old, new", [([0.5, np.nan], [0.5, 0.4]),
+                                          ([0.5, 0.4], [np.nan, 0.4])])
+    def test_rescale_rejects_nan_fraction(self, old, new):
+        with pytest.raises(FracReactError, match="must be positive"):
+            rescale_for_pore_change([1.0, 2.0], old, new)
+
+    def test_rescale_stacked_fields_match_one_by_one(self):
+        rng = np.random.default_rng(2)
+        u, w = rng.uniform(0.0, 1.0, (2, 6))
+        old = rng.uniform(0.1, 0.3, 6)
+        new = old.copy()
+        new[::2] *= 1.1
+        got = rescale_for_pore_change((u, w), old, new)
+        for g, value in zip(got, (u, w)):
+            assert np.array_equal(g, rescale_for_pore_change(value, old, new))
+
 
 def _simple_problem(lambda0=1.0, u0=None, w0=0.5, u_bc=0.0, num_steps=10):
     mesh = build_interval_mesh(1.0, 30)
