@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import SingularUpdateError
+from .errors import NumericError, SingularUpdateError
 
 # Lower clamps: the discrete equations degenerate at exactly zero pore
 # fraction while the physics only requires the transmissibilities to
@@ -72,7 +72,7 @@ class PhysParams:
 
 def _check_unit_interval(phi, name="phi"):
     phi = np.asarray(phi, dtype=float)
-    if np.any(phi < 0) or np.any(phi > 1):
+    if not np.all((phi >= 0) & (phi <= 1)):
         raise ValueError(f"{name} outside [0, 1]")
     return phi
 
@@ -132,9 +132,15 @@ def clamp_pore_fraction(values, is_bulk):
     """Apply the lower (and, for porosity, upper) clamps in place.
 
     Returns the number of entries that were clamped so the caller can
-    record the event in the run log.
+    record the event in the run log. A non-finite entry raises
+    NumericError: no clamp could stand in for it.
     """
     values = np.asarray(values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        dof = int(np.argmin(finite))
+        raise NumericError(f"non-finite pore fraction {values.flat[dof]} "
+                           f"at dof {dof}")
     bulk = np.asarray(is_bulk, dtype=bool)
     low = np.where(bulk, PHI_MIN, EPS_MIN)
     high = bulk & (values > 1.0)

@@ -1,13 +1,15 @@
-"""Result writers: per-step balance CSV and legacy ASCII VTK snapshots.
+"""Result writers: per-step balance CSV and legacy binary VTK snapshots.
 
 The CSV carries the mass audit (columns step, time, mass_u, mass_w,
 influx, outflux, delta_m; 17 significant digits so reruns are
-byte-identical and round-trips are lossless). VTK files are written per
-subdomain (the bulk, each fracture arm, all intersections) as
-``<scenario>_<subdomain>_<step:06d>.vtk`` with cell arrays p, theta, u,
-w, pore_fraction and the products pore_fraction_u, pore_fraction_w.
-The geometry never changes during a run, so ``vtk_pieces`` formats the
-points and cells of every subdomain once and each snapshot adds only
+byte-identical and round-trips are lossless). VTK files are legacy
+VTK 2.0 ``BINARY`` (big-endian float64 points and cell data, int32
+cells), written per subdomain (the bulk, each fracture arm, all
+intersections) as ``<scenario>_<subdomain>_<step:06d>.vtk`` with cell
+arrays p, theta, u, w, pore_fraction and the products pore_fraction_u,
+pore_fraction_w; every value round-trips bit for bit. The geometry
+never changes during a run, so ``vtk_pieces`` packs the points and
+cells of every subdomain into bytes once and each snapshot adds only
 its cell data.
 """
 
@@ -77,40 +79,6 @@ def read_balance(path) -> list[dict]:
 # VTK
 
 
-def _vtk_header(title: str) -> list[str]:
-    return ["# vtk DataFile Version 2.0", title, "ASCII",
-            "DATASET UNSTRUCTURED_GRID"]
-
-
-def _vtk_points(points) -> list[str]:
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[1] < 3:
-        pts = np.column_stack([pts] + [np.zeros(len(pts))] * (3 - pts.shape[1]))
-    lines = [f"POINTS {len(pts)} double"]
-    lines.extend(" ".join(_sig(v) for v in p) for p in pts)
-    return lines
-
-
-def _vtk_cells(cells: np.ndarray, cell_type: int) -> list[str]:
-    """CELLS and CELL_TYPES sections of an (n, k) vertex-index array."""
-    n, k = cells.shape
-    lines = [f"CELLS {n} {n * (k + 1)}"]
-    lines.extend(f"{k} " + " ".join(map(str, c)) for c in cells.tolist())
-    lines.append(f"CELL_TYPES {n}")
-    lines.extend([str(cell_type)] * n)
-    return lines
-
-
-def _vtk_cell_data(arrays: dict[str, np.ndarray]) -> list[str]:
-    n = len(next(iter(arrays.values())))
-    lines = [f"CELL_DATA {n}"]
-    for name, values in arrays.items():
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_sig(v) for v in values)
-    return lines
-
-
 def _field_arrays(state: FieldState, sel: np.ndarray) -> dict[str, np.ndarray]:
     pore = state.pore[sel]
     return {
@@ -121,16 +89,23 @@ def _field_arrays(state: FieldState, sel: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _write_lines(path, lines) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise FracReactError(f"cannot write VTK file {path}: {exc}") from exc
+def _vtk_geometry(points, cells: np.ndarray, cell_type: int) -> bytes:
+    """POINTS, CELLS and CELL_TYPES sections of an (n, k) vertex-index
+    array, each binary block followed by a newline."""
+    pts = np.asarray(points, dtype=float)
+    xyz = np.zeros((len(pts), 3))
+    xyz[:, :pts.shape[1]] = pts
+    n, k = cells.shape
+    conn = np.column_stack([np.full(n, k), cells])
+    return b"".join([
+        f"POINTS {len(xyz)} double\n".encode(), xyz.astype(">f8").tobytes(),
+        f"\nCELLS {n} {n * (k + 1)}\n".encode(), conn.astype(">i4").tobytes(),
+        f"\nCELL_TYPES {n}\n".encode(), np.full(n, cell_type, ">i4").tobytes(),
+        b"\n"])
 
 
 def vtk_pieces(mesh: MixedDimMesh, top: Topology) -> list[tuple]:
-    """One (title, file tag, POINTS and CELLS text, dof selection) per
+    """One (title, file tag, POINTS and CELLS bytes, dof selection) per
     subdomain file: the bulk, each fracture arm as a polyline whose
     cells have their own two copies of the end points, and all
     intersections as vertices in one file."""
@@ -147,8 +122,8 @@ def vtk_pieces(mesh: MixedDimMesh, top: Topology) -> list[tuple]:
         parts.append(("intersections", "intersections", pts,
                       np.arange(len(pts)).reshape(-1, 1), _VTK_VERTEX,
                       lay.is_inter))
-    return [(title, tag, "\n".join(_vtk_points(pts) + _vtk_cells(cells, ctype)),
-             sel) for title, tag, pts, cells, ctype, sel in parts]
+    return [(title, tag, _vtk_geometry(pts, cells, ctype), sel)
+            for title, tag, pts, cells, ctype, sel in parts]
 
 
 def write_vtk_snapshot(out_dir, scenario_name: str, step: int, pieces,
@@ -157,11 +132,19 @@ def write_vtk_snapshot(out_dir, scenario_name: str, step: int, pieces,
     paths."""
     written = []
     for title, tag, geometry, sel in pieces:
-        lines = _vtk_header(f"{scenario_name} {title} step {step}")
-        lines.append(geometry)
-        lines += _vtk_cell_data(_field_arrays(state, sel))
+        arrays = _field_arrays(state, sel)
+        chunks = [f"# vtk DataFile Version 2.0\n{scenario_name} {title} "
+                  f"step {step}\nBINARY\nDATASET UNSTRUCTURED_GRID\n".encode(),
+                  geometry, f"CELL_DATA {len(arrays['p'])}\n".encode()]
+        for name, values in arrays.items():
+            chunks += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+                       .encode(), np.asarray(values, ">f8").tobytes(), b"\n"]
         path = os.path.join(out_dir, f"{scenario_name}_{tag}_{step:06d}.vtk")
-        _write_lines(path, lines)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(b"".join(chunks))
+        except OSError as exc:
+            raise FracReactError(f"cannot write VTK file {path}: {exc}") from exc
         written.append(path)
     return written
 

@@ -115,25 +115,78 @@ def validate_conformity(mesh: MixedDimMesh) -> list[str]:
     return report
 
 
-def read_vtk_cell_data(path) -> dict[str, np.ndarray]:
-    """Extract the CELL_DATA arrays from a legacy ASCII VTK file
-    (round-trip companion of write_vtk_snapshot)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+def read_vtk(path) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                             dict[str, np.ndarray]]:
+    """Decode a legacy BINARY VTK unstructured grid by its section counts
+    (round-trip companion of write_vtk_snapshot): returns the (n, 3)
+    points, the CELLS stream (per cell its vertex count, then the
+    vertices), the cell types and the CELL_DATA arrays. Each binary
+    block is big-endian and followed by a newline; a missing, malformed
+    or trailing byte raises FracReactError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pos = 0
+
+    def fail(what):
+        raise FracReactError(f"{path}: {what} at byte {pos}")
+
+    def line():
+        nonlocal pos
+        end = data.find(b"\n", pos)
+        if end < 0:
+            fail("missing line")
+        text = data[pos:end].decode("ascii", "replace")
+        pos = end + 1
+        return text
+
+    def section(keyword, nargs):
+        words = line().split()
+        if words[:1] != [keyword] or len(words) != 1 + nargs:
+            fail(f"expected {keyword} and {nargs} values, got "
+                 f"{' '.join(words)!r}")
+        return words[1:]
+
+    def block(count, dtype):
+        nonlocal pos
+        end = pos + count * np.dtype(dtype).itemsize
+        if count < 0 or data[end:end + 1] != b"\n":
+            fail(f"expected {count} values of {dtype} and a newline")
+        values = np.frombuffer(data, dtype, count, pos).astype(dtype[1:])
+        pos = end + 1
+        return values
+
+    header = [line() for _ in range(4)]
+    if header[0] != "# vtk DataFile Version 2.0" or \
+            header[2:] != ["BINARY", "DATASET UNSTRUCTURED_GRID"]:
+        fail(f"not a legacy binary unstructured grid: {header}")
+    npts, kind = section("POINTS", 2)
+    if kind != "double":
+        fail(f"POINTS of type {kind}")
+    points = block(3 * int(npts), ">f8").reshape(-1, 3)
+    ncells, size = map(int, section("CELLS", 2))
+    cells = block(size, ">i4")
+    at = count = 0
+    while at < size and count < ncells:
+        at += 1 + int(cells[at])
+        count += 1
+    if (at, count) != (size, ncells):
+        fail(f"CELLS stream of {size} entries does not hold {ncells} cells")
+    (ntypes,) = section("CELL_TYPES", 1)
+    types = block(int(ntypes), ">i4")
+    (n,) = section("CELL_DATA", 1)
+    if int(ntypes) != ncells or int(n) != ncells:
+        fail(f"{ncells} cells, {ntypes} cell types and {n} cell values")
     arrays: dict[str, np.ndarray] = {}
-    i = 0
-    n = None
-    while i < len(lines):
-        parts = lines[i].split()
-        if parts[:1] == ["CELL_DATA"]:
-            n = int(parts[1])
-        elif parts[:1] == ["SCALARS"] and n is not None:
-            name = parts[1]
-            i += 1  # LOOKUP_TABLE line
-            vals = [float(lines[i + 1 + k]) for k in range(n)]
-            arrays[name] = np.asarray(vals)
-            i += n
-        i += 1
+    while pos < len(data):
+        name, kind, ncomp = section("SCALARS", 3)
+        if (kind, ncomp) != ("double", "1") or line() != "LOOKUP_TABLE default":
+            fail(f"SCALARS {name} is not one double with the default table")
+        arrays[name] = block(int(n), ">f8")
     if not arrays:
-        raise FracReactError(f"{path}: no CELL_DATA arrays found")
-    return arrays
+        fail("no CELL_DATA arrays")
+    return points, cells, types, arrays
+
+
+def read_vtk_cell_data(path) -> dict[str, np.ndarray]:
+    """The CELL_DATA arrays of a file ``read_vtk`` decodes."""
+    return read_vtk(path)[3]

@@ -12,7 +12,7 @@ from fracreact.constitutive import (EPS_MIN, PHI_MIN, PhysParams,
                                     effective_conductivity,
                                     effective_heat_capacity,
                                     kozeny_permeability, update_pore_fraction)
-from fracreact.errors import SingularUpdateError
+from fracreact.errors import NumericError, SingularUpdateError
 
 
 class TestPhysParams:
@@ -71,6 +71,14 @@ class TestPermeabilities:
     def test_kozeny_rejects_nonphysical_porosity(self):
         with pytest.raises(ValueError):
             kozeny_permeability(1.2, PhysParams())
+
+    @pytest.mark.parametrize("law", [kozeny_permeability,
+                                     effective_heat_capacity,
+                                     effective_conductivity])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_porosity_rejected(self, law, bad):
+        with pytest.raises(ValueError, match=r"^phi outside \[0, 1\]$"):
+            law(np.array([0.2, bad]), PhysParams())
 
     def test_cubic_law_reference_value(self):
         assert cubic_law(1e-2, 1e2, 1e-2) == pytest.approx(1e2)
@@ -173,3 +181,11 @@ class TestClamp:
     def test_no_clamp_counts_zero(self):
         vals = np.array([0.2, 1e-3])
         assert clamp_pore_fraction(vals, np.array([True, False])) == 0
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_at_first_dof(self, bulk, bad):
+        vals = np.array([0.5, bad, np.nan])
+        with pytest.raises(NumericError,
+                           match=rf"^non-finite pore fraction {bad} at dof 1$"):
+            clamp_pore_fraction(vals, np.array([bulk] * 3))

@@ -16,7 +16,7 @@ from fracreact.output import (BALANCE_COLUMNS, BalanceWriter, OutputWriter,
 from fracreact.physics import FieldState
 from fracreact.scenarios import get_scenario
 from fracreact.splitting import StepReport, run
-from oracles import read_vtk_cell_data
+from oracles import read_vtk, read_vtk_cell_data
 
 
 def _report(step):
@@ -100,27 +100,33 @@ class TestVtk:
         data = read_vtk_cell_data(tmp_path / "test1d_pulse_bulk_000000.vtk")
         assert len(data["u"]) == 100
 
-    def test_vtk_header_is_legacy_ascii(self, tmp_path):
+    def test_vtk_header_is_legacy_binary(self, tmp_path):
         scenario = get_scenario("test1d_pulse")
         write_vtk_snapshot(tmp_path, scenario.name, 0,
                            vtk_pieces(scenario.mesh, scenario.problem.top),
                            scenario.problem.state0)
-        lines = (tmp_path / "test1d_pulse_bulk_000000.vtk").read_text() \
-            .splitlines()
-        assert lines[0].startswith("# vtk DataFile Version")
-        assert lines[2] == "ASCII"
-        assert lines[3] == "DATASET UNSTRUCTURED_GRID"
+        lines = (tmp_path / "test1d_pulse_bulk_000000.vtk").read_bytes() \
+            .split(b"\n", 4)[:4]
+        assert lines == [b"# vtk DataFile Version 2.0",
+                         b"test1d_pulse bulk step 0", b"BINARY",
+                         b"DATASET UNSTRUCTURED_GRID"]
+
+    def test_reader_rejects_missing_or_trailing_bytes(self, tmp_path):
+        scenario = get_scenario("test1d_pulse")
+        (path,) = write_vtk_snapshot(
+            tmp_path, scenario.name, 0,
+            vtk_pieces(scenario.mesh, scenario.problem.top),
+            scenario.problem.state0)
+        data = _as_path(path).read_bytes()
+        for bad in (data[:-1], data + b"\n", data[:-9] + b"\n"):
+            _as_path(path).write_bytes(bad)
+            with pytest.raises(FracReactError):
+                read_vtk(path)
 
     def test_crossing_snapshot_bytes(self, tmp_path):
-        # four arms and one intersection; every coordinate and field
-        # value is an exact binary fraction, so the bytes are fixed
-        mesh = build_structured_2d(4, 4, fractures=[
-            [(0.25, 0.5), (0.75, 0.5)], [(0.5, 0.25), (0.5, 0.75)]])
-        top = build_topology(mesh)
-        k = np.arange(top.layout.ndof)
-        state = FieldState(p=k / 4.0, theta=1.0 + k / 8.0, u=k / 16.0,
-                           w=k / 32.0, pore=0.5 - k / 128.0,
-                           react_prev=np.zeros(len(k)))
+        # every coordinate and field value is an exact binary fraction,
+        # so the bytes are fixed
+        mesh, top, state = _crossing()
         files = write_vtk_snapshot(tmp_path, "cross", 0,
                                    vtk_pieces(mesh, top), state)
         digests = {_as_path(f).name:
@@ -128,18 +134,93 @@ class TestVtk:
                    for f in files}
         assert digests == {
             "cross_bulk_000000.vtk":
-                "8bc5da7fe020da65d0e6555ccab73fce58996b115086499021568d75d4498ea8",
+                "bb11b9a1d561d512d62e8cb22ed9df91e3fea3c7097a8dea1d18c36f8b1b8aad",
             "cross_fracture00_000000.vtk":
-                "bd45d5a29b6cd3ce16ed00761d3be70ce9cc0726740a11ac86b6d36ba54b9527",
+                "fb42eaa4411969fae0551aecd00f0b3d277a39cc83e131994a2775cc5c8f18cf",
             "cross_fracture01_000000.vtk":
-                "84ee5ca62cf3c89f36a4f977de2c51ec06fd60ec071c22aca2a4c088261d8e41",
+                "01b744ab89abe703c8d1801175a1b7ffe0639e0872ada3ea21db4c76cb0232c1",
             "cross_fracture02_000000.vtk":
-                "81ddda77a7b3cc863bce260eaf5aea188b863c3a9df94f07e05f9e7e9a135bc7",
+                "4244ac49fad79262e4762f63a3fbca44521c9c33a0ccf1c9eb38b0c42876329a",
             "cross_fracture03_000000.vtk":
-                "2a39b1136a9142922a55312e679c6eb02815d0c73bb33607e7d06a0b3c1808d0",
+                "b1ef1b731f9a41238edb7eb13093619f52a97aebd1669c6b368f305cbb833ae3",
             "cross_intersections_000000.vtk":
-                "938175430419588edb46af3cb94a68337dccfb77eed9eed0db65b0d296439e1b",
+                "b3c57fb39c95fbd346c9fb2ff297b8677bd0a151fdfaebc0f03a005ab3231c4f",
         }
+
+    def test_crossing_snapshot_decodes_bit_equal(self, tmp_path):
+        mesh, top, state = _crossing()
+        files = write_vtk_snapshot(tmp_path, "cross", 0,
+                                   vtk_pieces(mesh, top), state)
+        lay = top.layout
+        ends = mesh.points[mesh.face_vertices]
+        pieces = [(mesh.points, 4, 9, lay.is_bulk)] + [
+            (ends[frac.cell_faces].reshape(-1, 2), 2, 3, lay.frac_of_dof == f)
+            for f, frac in enumerate(mesh.fractures)] + [
+            ([inter.point for inter in mesh.intersections], 1, 1,
+             lay.is_inter)]
+        assert len(files) == len(pieces) == 6
+        for path, (pts, k, ctype, sel) in zip(files, pieces):
+            points, cells, types, data = read_vtk(path)
+            pts = np.asarray(pts, dtype=float)
+            assert _bits(points[:, :2]) == _bits(pts)
+            assert not points[:, 2].any()
+            n = np.count_nonzero(sel)
+            # only the bulk shares points between cells
+            vertices = (mesh.cell_vertices if ctype == 9
+                        else np.arange(n * k).reshape(n, k))
+            assert _bits(cells, "i4") == _bits(
+                np.column_stack([np.full(n, k), vertices]), "i4")
+            assert _bits(types, "i4") == _bits(np.full(n, ctype), "i4")
+            assert list(data) == list(FIELDS)
+            for name, values in data.items():
+                assert _bits(values) == _bits(_field(state, name)[sel]), name
+
+    def test_run_snapshot_decodes_every_field(self, tmp_path):
+        scenario = get_scenario("single_fracture_injection")
+        grid = scenario.problem.grid
+        scenario = scenario.with_grid(
+            type(grid)(grid.t_end * 5 / grid.num_steps, 5))
+        state, _ = run(scenario.problem)
+        files = write_vtk_snapshot(
+            tmp_path, scenario.name, 5,
+            vtk_pieces(scenario.mesh, scenario.problem.top), state)
+        lay = scenario.problem.top.layout
+        sels = [lay.is_bulk] + [lay.frac_of_dof == f for f in
+                                range(len(scenario.mesh.fractures))]
+        assert len(files) == len(sels)
+        for path, sel in zip(files, sels):
+            data = read_vtk_cell_data(path)
+            assert list(data) == list(FIELDS)
+            for name, values in data.items():
+                np.testing.assert_array_equal(values,
+                                              _field(state, name)[sel])
+
+
+FIELDS = ("p", "theta", "u", "w", "pore_fraction", "pore_fraction_u",
+          "pore_fraction_w")
+
+
+def _field(state, name):
+    if name.startswith("pore_fraction_"):
+        return state.pore * getattr(state, name[-1])
+    return state.pore if name == "pore_fraction" else getattr(state, name)
+
+
+def _bits(values, kind="f8"):
+    return np.ascontiguousarray(values, dtype=kind).tobytes()
+
+
+def _crossing():
+    # four arms and one intersection; every coordinate and field value
+    # is an exact binary fraction
+    mesh = build_structured_2d(4, 4, fractures=[
+        [(0.25, 0.5), (0.75, 0.5)], [(0.5, 0.25), (0.5, 0.75)]])
+    top = build_topology(mesh)
+    k = np.arange(top.layout.ndof)
+    state = FieldState(p=k / 4.0, theta=1.0 + k / 8.0, u=k / 16.0,
+                       w=k / 32.0, pore=0.5 - k / 128.0,
+                       react_prev=np.zeros(len(k)))
+    return mesh, top, state
 
 
 def _as_path(f):
