@@ -61,7 +61,7 @@ class ReactionParams:
 def lambda_minus(theta, rp: ReactionParams):
     """Temperature-dependent dissolution constant lambda0*exp(-act/theta)."""
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0):
+    if (theta <= 0).any():
         raise ValueError("temperature must be positive")
     return rp.lambda0 * np.exp(-rp.act / theta)
 
@@ -112,20 +112,19 @@ def react_cell(u, w, theta, dt, rp: ReactionParams, scheme: str = "explicit-eule
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), u.shape)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))
-            and np.all(np.isfinite(theta))):
+    if not (np.isfinite(u).all() and np.isfinite(w).all()
+            and np.isfinite(theta).all()):
         raise NumericError("non-finite state passed to react_cell")
 
+    # nothing below writes u, w or theta: every result is a new array
     scalar = u.ndim == 0
-    u = np.atleast_1d(u).copy()
-    w = np.atleast_1d(w).copy()
-    theta = np.atleast_1d(theta)
+    u, w, theta = np.atleast_1d(u, w, theta)
 
     k1 = np.asarray(net_rate(u, w, theta, rp))
     if scheme == "explicit-euler":
         w_new = _clip_to_equilibrium(u, w, w + dt * k1, rp)
         crossing = w_new < 0
-        if np.any(crossing):
+        if crossing.any():
             # Linear event location, then sliding: the rate on the w = 0
             # side is zero for undersaturated solute, so the state stays
             # on the surface for the remainder of the step.

@@ -72,7 +72,7 @@ class PhysParams:
 
 def _check_unit_interval(phi, name="phi"):
     phi = np.asarray(phi, dtype=float)
-    if not np.all((phi >= 0) & (phi <= 1)):
+    if not ((phi >= 0) & (phi <= 1)).all():
         raise ValueError(f"{name} outside [0, 1]")
     return phi
 
@@ -92,7 +92,7 @@ def cubic_law(eps, ref_k: float, ref_eps: float):
     reduced equations is included. ``PhysParams`` keeps ``ref_eps`` > 0.
     """
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 0):
+    if not (eps >= 0).all():
         raise ValueError("aperture must be non-negative")
     return ref_k * eps**2 / ref_eps**2
 
@@ -105,7 +105,7 @@ def update_pore_fraction(prev, dw, eta):
     """
     prev = np.asarray(prev, dtype=float)
     denom = 1.0 + np.asarray(eta, dtype=float) * np.asarray(dw, dtype=float)
-    if not np.all(denom > 0):
+    if not (denom > 0).all():
         dof = int(np.argmin(denom > 0))
         raise SingularUpdateError(
             f"pore-fraction update has 1 + eta*dw = {denom.flat[dof]:.6g} <= 0 at "
@@ -145,6 +145,6 @@ def clamp_pore_fraction(values, is_bulk):
     low = np.where(bulk, PHI_MIN, EPS_MIN)
     high = bulk & (values > 1.0)
     clamped = (values < low) | high
-    np.clip(values, low, None, out=values)
+    np.maximum(values, low, out=values)
     values[high] = 1.0
     return int(np.count_nonzero(clamped))

@@ -107,6 +107,16 @@ class Topology:
         return len(self.ci)
 
     @cached_property
+    def low_links(self) -> dict:
+        """The connections with a lower-dimensional side and their
+        lower-dimensional dofs, per kind (``COUPLING``, ``INTERSECT``)
+        and for both kinds together (key ``None``), kept for the run."""
+        masks = {COUPLING: self.kind == COUPLING,
+                 INTERSECT: self.kind == INTERSECT, None: self.low_dof >= 0}
+        return {key: (np.flatnonzero(m), self.low_dof[m])
+                for key, m in masks.items()}
+
+    @cached_property
     def plan(self) -> SolvePlan:
         """Ordering and pattern of every linear system on this topology,
         built at the first solve and kept for the run."""
@@ -189,19 +199,13 @@ def build_topology(mesh: MixedDimMesh) -> Topology:
 
 
 def _safe_resistance(dist, coef):
-    """dist/coef with the conventions dist == 0 -> 0 and coef == 0 ->
+    """dist/coef with the conventions dist == 0 -> 0 and coef <= 0 ->
     infinite resistance (blocked side); a NaN coefficient at dist > 0
     gives NaN, which the linear solve rejects."""
-    dist = np.asarray(dist, dtype=float)
     coef = np.asarray(coef, dtype=float)
-    out = np.zeros_like(dist)
-    active = dist > 0
-    nonpositive = coef <= 0
-    blocked = active & nonpositive
-    ok = active & ~nonpositive
-    out[ok] = dist[ok] / coef[ok]
-    out[blocked] = np.inf
-    return out
+    # a blocked side divides by +0.0, which gives +inf for dist > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dist > 0, dist / np.where(coef <= 0, 0.0, coef), 0.0)
 
 
 def transmissibilities(top: Topology, cell_coef, interface_resist=None):

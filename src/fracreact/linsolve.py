@@ -22,6 +22,7 @@ on a solve that missed it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,14 +128,16 @@ def solve(system: SparseSystem, *, lu=None) -> np.ndarray:
     silent.
     """
     a, b = system.matrix, system.rhs
-    if not np.all(np.isfinite(a.data)) or not np.all(np.isfinite(b)):
+    if not (np.isfinite(a.data).all() and np.isfinite(b).all()):
         raise NumericError("non-finite entries in linear system")
     with np.errstate(all="ignore"):
         x = (factor(a) if lu is None else lu).solve(b)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("solver produced non-finite solution (singular system)")
-    bnorm = np.linalg.norm(b)
-    res = np.linalg.norm(a @ x - b) / (bnorm if bnorm > 0 else 1.0)
+    # the 2-norms as np.linalg.norm takes them for 1-D float64
+    r = a @ x - b
+    bnorm = math.sqrt(b.dot(b))
+    res = math.sqrt(r.dot(r)) / (bnorm if bnorm > 0 else 1.0)
     if res > DEFAULT_TOL:
         raise NumericError(f"linear solve residual {res:.3e} exceeds "
                            f"tolerance {DEFAULT_TOL:.3e}")

@@ -117,7 +117,9 @@ class Operator:
             raise WellPosednessError(
                 "flow problem needs at least one essential pressure segment")
         self.out = kinds == OUTFLOW
+        self.upwind = self.ess | self.out
         self.datum = self.ess | (kinds == FLUX)
+        self.datum_flux = self.values * top.b_area   # outward, on flux faces
         self.top = top
         self.bd2 = np.array([top.b_dof, top.b_dof]).T
         self.b_slots = top.plan.diag[self.bd2]
@@ -161,8 +163,8 @@ def _tpfa_solve(op: Operator, t_conn, t_bnd, rhs, scale, diag, flux,
     if not repeat:
         op.inputs, op.lu, op.kept = inputs, None, None
     if op.lu is None:
-        leaving, upwind = bnd_flux >= 0, ess | op.out
-        adv_out, adv_in = upwind & leaving, upwind & ~leaving
+        leaving = bnd_flux >= 0
+        adv_out, adv_in = op.upwind & leaving, op.upwind & ~leaving
         st = scale * t_conn
         fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
         conn = [plan.diag[top.ci], plan.ij, plan.diag[top.cj], plan.ji]
@@ -194,7 +196,7 @@ def _tpfa_solve(op: Operator, t_conn, t_bnd, rhs, scale, diag, flux,
     xb = x[top.b_dof]
     adv = bnd_flux * np.where(leaving, xb, g)
     bnd_total = np.where(ess, t_bnd * (xb - g) + adv,
-                         np.where(op.out, adv, g * top.b_area))
+                         np.where(op.out, adv, op.datum_flux))
     return x, bnd_total
 
 
@@ -216,10 +218,10 @@ def flow_coefficients(top: Topology, pore_star, params: PhysParams):
     resist = np.zeros(top.n_conn)
     for kind, kappa0, eps0 in ((COUPLING, params.kappagamma0, params.epsgamma0),
                                (INTERSECT, params.kappaiota0, params.epsiota0)):
-        m = top.kind == kind
-        eps = pore_star[top.low_dof[m]]
-        resist[m] = _interface_resistance(eps, cl.cubic_law(eps, kappa0, eps0),
-                                          params.mu)
+        conn, dof = top.low_links[kind]
+        eps = pore_star[dof]
+        resist[conn] = _interface_resistance(
+            eps, cl.cubic_law(eps, kappa0, eps0), params.mu)
     return coef, resist
 
 
@@ -273,8 +275,8 @@ def transport_step(op: Operator, t_conn, t_bnd, acc_new, acc_old, x_old,
     the outward advective+diffusive fluxes consistent with the solve,
     for mass audits.
     """
-    rhs = (np.asarray(acc_old, dtype=float) * np.asarray(x_old, dtype=float)
-           + dt * np.asarray(source, dtype=float))
+    rhs = np.asarray(acc_old, dtype=float) * np.asarray(x_old, dtype=float)
+    rhs += dt * np.asarray(source, dtype=float)
     return _tpfa_solve(
         op, t_conn, t_bnd, rhs, dt,
         diag=np.asarray(acc_new, dtype=float),
@@ -342,6 +344,6 @@ def _transport_resistances(top: Topology, pore_star, normal_coef):
     """Interface resistance eps/coef on couplings and intersections;
     ``PhysParams`` keeps the coefficient positive."""
     resist = np.zeros(top.n_conn)
-    low = top.low_dof >= 0
-    resist[low] = pore_star[top.low_dof[low]] / normal_coef
+    conn, dof = top.low_links[None]
+    resist[conn] = pore_star[dof] / normal_coef
     return resist

@@ -122,7 +122,7 @@ def rescale_for_pore_change(value, old_fraction, new_fraction):
     """
     old_fraction = np.asarray(old_fraction, dtype=float)
     new_fraction = np.asarray(new_fraction, dtype=float)
-    if not (np.all(old_fraction > 0) and np.all(new_fraction > 0)):
+    if not ((old_fraction > 0).all() and (new_fraction > 0).all()):
         raise FracReactError("pore fractions must be positive for rescaling")
     value = np.asarray(value, dtype=float)
     out = np.where(old_fraction == new_fraction, value,
@@ -133,7 +133,7 @@ def rescale_for_pore_change(value, old_fraction, new_fraction):
 
 
 def total_mass(layout, pore, conc) -> float:
-    return float(np.sum(np.asarray(pore) * np.asarray(conc) * layout.measure))
+    return float((np.asarray(pore) * conc * layout.measure).sum())
 
 
 class _phase:
@@ -141,14 +141,15 @@ class _phase:
     and phase: ``scheme step 4 (flow): ...``."""
 
     def __init__(self, step_no: int, name: str):
-        self.prefix = f"scheme step {step_no} ({name}): "
+        self.step_no, self.name = step_no, name
 
     def __enter__(self):
         pass
 
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, FracReactError):
-            exc.args = (self.prefix + (exc.args[0] if exc.args else ""),)
+            exc.args = (f"scheme step {self.step_no} ({self.name}): "
+                        + (exc.args[0] if exc.args else ""),)
 
 
 def advance_step(problem: Problem, state: FieldState, dt: float,
@@ -183,7 +184,7 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
             theta_new, _ = heat_step(
                 problem.heat, state, conn_flux, bnd_flux, pore_star,
                 state.pore, params, dt)
-            if np.any(theta_new <= 0):
+            if (theta_new <= 0).any():
                 dof = int(np.argmax(theta_new <= 0))
                 raise NumericError(f"non-positive temperature "
                                    f"{theta_new[dof]:.6g} at dof {dof}")
@@ -210,9 +211,9 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
     # using the volume-consistent increment keeps the per-cell invariant
     # pore*w + pore/eta under pure dissolution and hence a finite
     # aperture plateau once the precipitate is exhausted.
+    react = w_star2 - w_half
     with _phase(9, "pore correction"):
-        pore_new = cl.update_pore_fraction(state.pore, w_star2 - w_half,
-                                           problem.eta)
+        pore_new = cl.update_pore_fraction(state.pore, react, problem.eta)
     clamp_events += cl.clamp_pore_fraction(pore_new, lay.is_bulk)
 
     # (10) conservative correction back to the actual pore volume
@@ -220,14 +221,13 @@ def advance_step(problem: Problem, state: FieldState, dt: float,
                                            pore_new)
 
     state_next = FieldState(p=np.asarray(p, dtype=float), theta=theta_new,
-                            u=u_new, w=w_new, pore=pore_new,
-                            react_prev=np.asarray(w_star2 - w_half))
+                            u=u_new, w=w_new, pore=pore_new, react_prev=react)
 
     mass_u = total_mass(lay, pore_new, u_new)
     mass_w = total_mass(lay, pore_new, w_new)
-    outflux = float(np.sum(np.maximum(sol_bnd, 0.0)))
-    influx = (float(-np.sum(np.minimum(sol_bnd, 0.0)))
-              + float(np.sum(problem.solute_source)))
+    outflux = float(np.maximum(sol_bnd, 0.0).sum())
+    influx = (float(-np.minimum(sol_bnd, 0.0).sum())
+              + float(np.asarray(problem.solute_source).sum()))
     delta_m = (mass_u + mass_w) - mass_old + dt * (outflux - influx)
 
     report = StepReport(
@@ -309,7 +309,7 @@ def monolithic_linear_run(problem: Problem) -> np.ndarray:
             problem.solute, t_conn, t_bnd, acc_react, acc, u, conn_flux,
             bnd_flux, 1.0, dt, source=source)[0]
         w = w + dt * lam * (u / rp.u_e - 1.0)
-        if np.any(w <= 0):
+        if (w <= 0).any():
             raise FracReactError(
                 "precipitate hit zero: monolithic linear reference invalid")
     return u

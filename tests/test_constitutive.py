@@ -90,6 +90,11 @@ class TestPermeabilities:
         with pytest.raises(ValueError):
             cubic_law(-1e-3, 1e2, 1e-2)
 
+    @pytest.mark.parametrize("eps", [np.array([1e-2, np.nan]), np.nan])
+    def test_cubic_law_rejects_nan_aperture(self, eps):
+        with pytest.raises(ValueError, match="^aperture must be non-negative$"):
+            cubic_law(eps, 1e2, 1e-2)
+
     @pytest.mark.parametrize("name", ["epsgamma0", "epsiota0"])
     @pytest.mark.parametrize("bad", [0.0, -1e-2])
     def test_cubic_law_reference_aperture_guarded_by_params(self, name, bad):

@@ -187,6 +187,53 @@ class TestTransmissibility:
         assert transmissibilities(top, coef)[k] == 0.0
 
 
+def _masked_resistance(dist, coef):
+    """Reference for the half-cell resistance: dist/coef where dist > 0
+    and coef > 0 (or NaN), inf where dist > 0 and coef <= 0, else 0."""
+    out = np.zeros(len(dist))
+    active = dist > 0
+    blocked = active & (coef <= 0)
+    ok = active & ~(coef <= 0)
+    out[ok] = dist[ok] / coef[ok]
+    out[blocked] = np.inf
+    return out
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, -1.5, np.inf, -np.inf, np.nan])
+_COEFS = st.one_of(_SPECIAL, st.floats(-1e3, 1e3))
+_DISTS = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_transmissibilities_match_masked_reference(network, data):
+    # every value of a drawn coefficient, distance and interface
+    # resistance gives the reference's bits, NaN and signed zeros included
+    _, top = network
+    n, m, nb = top.layout.ndof, top.n_conn, len(top.b_dof)
+
+    def draw(elements, size):
+        return np.array(data.draw(st.lists(elements, min_size=size,
+                                           max_size=size)), dtype=float)
+
+    coef, resist = draw(_COEFS, n), draw(_COEFS, m)
+    top = dataclasses.replace(top, di=draw(_DISTS, m), dj=draw(_DISTS, m),
+                              b_dist=draw(_DISTS, nb))
+    with np.errstate(all="ignore"):
+        want = top.area / (_masked_resistance(top.di, coef[top.ci])
+                           + _masked_resistance(top.dj, coef[top.cj]))
+        want_resist = top.area / (_masked_resistance(top.di, coef[top.ci])
+                                  + _masked_resistance(top.dj, coef[top.cj])
+                                  + resist)
+        want_bnd = top.b_area / _masked_resistance(top.b_dist, coef[top.b_dof])
+        got = transmissibilities(top, coef)
+        got_resist = transmissibilities(top, coef, resist)
+        got_bnd = boundary_transmissibilities(top, coef)
+    assert got.tobytes() == want.tobytes()
+    assert got_resist.tobytes() == want_resist.tobytes()
+    assert got_bnd.tobytes() == want_bnd.tobytes()
+
+
 def _advect(top, x_old, conn_flux, bnd_flux, solute, dt=0.1):
     """One implicit pure-advection step with unit accumulation and the
     solute boundary data ``solute`` on both ends."""

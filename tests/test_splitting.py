@@ -7,17 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracreact.chemistry import ReactionParams
+from fracreact.chemistry import ReactionParams, react_cell
 from fracreact.constitutive import PhysParams
 from fracreact.discretize import build_topology
 from fracreact.errors import FracReactError
 from fracreact.mesh import build_interval_mesh
 from fracreact.physics import (DIRICHLET, OUTFLOW, PRESSURE, Operator,
-                               SegmentBC, darcy_step, solute_ad_step)
+                               SegmentBC, darcy_step, solute_ad_step,
+                               solute_coefficients, transport_step)
 from fracreact.scenarios import (get_scenario, list_scenarios, make_eta,
                                  make_state, splitting_problem_factory)
-from fracreact.splitting import (Problem, StepReport, TimeGrid, advance_step,
-                                 convergence_order, monolithic_linear_run,
+from fracreact.splitting import (Problem, StepReport, TimeGrid, _predict_pore,
+                                 advance_step, convergence_order,
+                                 monolithic_linear_run,
                                  rescale_for_pore_change, run,
                                  splitting_error_study, total_mass)
 
@@ -187,6 +189,70 @@ class TestAdvanceStep:
                          problem.grid.dt, problem.grid.dt)
         assert str(info.value) == ("scheme step 6 (solute): non-finite "
                                    "entries in linear system")
+
+
+def _assert_untouched(args, call):
+    """``call()`` leaves every array in ``args`` bit-equal."""
+    before = [a.copy() for a in args]
+    call()
+    for i, (a, b) in enumerate(zip(args, before)):
+        assert a.tobytes() == b.tobytes(), f"argument {i} was written"
+
+
+class TestInputsLeftAlone:
+    """The step functions read their array arguments and never write
+    them: the caller's state and the Operator's kept inputs rely on it."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        problem = get_scenario("multi_fracture_injection").problem
+        s = problem.state0
+        n = len(s.u)
+        rng = np.random.default_rng(7)
+        # under- and supersaturated cells, some with little precipitate,
+        # so that reactions, clips and w = 0 crossings all occur
+        u = rng.uniform(0.0, 2.0, n)
+        w = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1e-3, n),
+                     rng.uniform(0.0, 2.0, n))
+        w[::7] = 0.0
+        pore = s.pore * rng.uniform(0.5, 1.5, n)
+        return problem, u, w, pore, rng.uniform(-0.1, 0.1, n)
+
+    @pytest.mark.parametrize("scheme", ["explicit-euler", "heun"])
+    def test_react_cell(self, case, scheme):
+        _, u, w, _, _ = case
+        theta = np.linspace(0.5, 2.0, len(u))
+        rp = ReactionParams(lambda0=50.0, act=0.5)
+        _assert_untouched((u, w, theta), lambda: react_cell(
+            u, w, theta, 0.1, rp, scheme=scheme))
+
+    def test_rescale_total_mass_and_predict(self, case):
+        problem, u, w, pore, dw = case
+        lay = problem.top.layout
+        eta = problem.eta
+        _assert_untouched((u, w, pore, problem.state0.pore), lambda: (
+            rescale_for_pore_change(w, problem.state0.pore, pore),
+            rescale_for_pore_change((u, w), pore, problem.state0.pore)))
+        _assert_untouched((pore, u, lay.measure),
+                          lambda: total_mass(lay, pore, u))
+        _assert_untouched((pore, dw, eta), lambda: _predict_pore(pore, dw, eta))
+
+    def test_transport_step(self, case):
+        problem, u, _, pore, dw = case
+        params, dt = problem.params, problem.grid.dt
+        op = Operator(problem.top, problem.bc, "solute")
+        t_conn, t_bnd = op.transmissibilities_at(solute_coefficients, pore,
+                                                 params)
+        _, conn_flux, bnd_flux = darcy_step(
+            Operator(problem.top, problem.bc, "flow"), pore, pore, params, dt)
+        measure = problem.top.layout.measure
+        args = (t_conn, t_bnd, pore * measure, problem.state0.pore * measure,
+                u, conn_flux, bnd_flux, dw)
+        # a new solve, its first repeat (factor kept) and a later repeat
+        for _ in range(3):
+            _assert_untouched(args, lambda: transport_step(
+                op, *args[:7], 1.0, dt, source=args[7]))
+        assert op.lu is not None
 
 
 class TestRun:
